@@ -87,12 +87,7 @@ func (granuleBackend) Free(lp *LZProc, zone int) error {
 		delete(st.owner, pa)
 		delete(st.delegated, pa)
 	}
-	for va, info := range lp.protected {
-		delete(info.pgts, zone)
-		if len(info.pgts) == 0 {
-			delete(lp.protected, va)
-		}
-	}
+	lp.detachPGT(zone)
 	delete(lp.byRoot, d.S1.Root())
 	delete(lp.pgts, zone)
 	// Mirror the lightzone teardown: the ASID goes back to the kernel

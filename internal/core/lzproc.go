@@ -206,12 +206,14 @@ func (lp *LZProc) currentPGT() (*DomainPGT, bool) {
 
 // s2MapTable identity-maps a stage-1 table frame read-only in the
 // process's stage-2 ("stage-1 page tables are read-only in stage-2
-// mapping", §5.1.2).
-func (lp *LZProc) s2MapTable(pa mem.PA) {
+// mapping", §5.1.2). It fails only when physical memory runs out for a
+// stage-2 table frame; the stage-1 mapping that needed the frame then fails
+// with it.
+func (lp *LZProc) s2MapTable(pa mem.PA) error {
 	if err := lp.vm.S2.Map(mem.IPA(pa), pa, mem.S2APRead); err != nil {
-		// Table frames are kernel-allocated; failure is a simulator bug.
-		panic(fmt.Sprintf("lightzone: stage-2 table map: %v", err))
+		return fmt.Errorf("lightzone: stage-2 table map: %w", err)
 	}
+	return nil
 }
 
 // s2MapData maps a fake page to its real frame in stage-2 with RW access
@@ -242,7 +244,9 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 		return nil, err
 	}
 	s1.OnAllocTable = lp.s2MapTable
-	lp.s2MapTable(s1.Root())
+	if err := lp.s2MapTable(s1.Root()); err != nil {
+		return nil, err
+	}
 	id := lp.nextPGT
 	if n := len(lp.freePGT); n > 0 {
 		id = lp.freePGT[n-1]
@@ -514,29 +518,27 @@ func (lp *LZProc) Alloc() (int, error) {
 // domains carry the software marker and are skipped — and the
 // PAN-protected user pages are re-attached. Shared by the lightzone and
 // granule backends, which differ only in what they charge and publish
-// around the copy.
+// around the copy. Each copied leaf costs a descriptor load and store;
+// CopyLeaves counts a leaf whose copy failed too, so exhaustion charges
+// the same as a successful copy up to that leaf.
 func (lp *LZProc) populatePGT(d *DomainPGT) error {
-	base := lp.pgts[0]
-	var copyErr error
-	if err := base.S1.Visit(func(va mem.VA, desc uint64, size uint64) bool {
-		if desc&mem.AttrSWLZProt != 0 {
-			return true
-		}
-		attrs := desc &^ mem.OAMask &^ (mem.DescValid | mem.DescTable | mem.AttrAF)
-		if size == mem.HugePageSize {
-			copyErr = d.S1.MapBlock(va, mem.PA(desc&mem.OAMask), attrs)
-		} else {
-			copyErr = d.S1.Map(va, mem.PA(desc&mem.OAMask), attrs)
-		}
-		lp.kern.CPU.Charge(2 * lp.kern.Prof.MemAccessCost)
-		return copyErr == nil
-	}); err != nil {
+	n, err := d.S1.CopyLeaves(lp.pgts[0].S1, mem.AttrSWLZProt)
+	lp.kern.CPU.Charge(int64(n) * 2 * lp.kern.Prof.MemAccessCost)
+	if err != nil {
 		return err
 	}
-	if copyErr != nil {
-		return copyErr
-	}
 	return lp.attachUserPagesTo(d)
+}
+
+// detachPGT drops domain table id from every protected region's view set,
+// forgetting regions no table holds any more.
+func (lp *LZProc) detachPGT(id int) {
+	for va, info := range lp.protected {
+		delete(info.pgts, id)
+		if len(info.pgts) == 0 {
+			delete(lp.protected, va)
+		}
+	}
 }
 
 // Free implements lz_free: destroy a page table. The base table (0) and
@@ -549,12 +551,7 @@ func (lp *LZProc) Free(pgt int) error {
 	if cur, ok := lp.currentPGT(); ok && cur == d {
 		return fmt.Errorf("lz_free: page table %d is active", pgt)
 	}
-	for va, info := range lp.protected {
-		delete(info.pgts, pgt)
-		if len(info.pgts) == 0 {
-			delete(lp.protected, va)
-		}
-	}
+	lp.detachPGT(pgt)
 	delete(lp.byRoot, d.S1.Root())
 	delete(lp.pgts, pgt)
 	// Return the ASID to the kernel allocator (which performs the scoped

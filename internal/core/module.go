@@ -188,7 +188,9 @@ func (lz *LightZone) enter(k *kernel.Kernel, t *kernel.Thread, allowScalable boo
 		return 0, err
 	}
 	ttbr1.OnAllocTable = lp.s2MapTable
-	lp.s2MapTable(ttbr1.Root())
+	if err := lp.s2MapTable(ttbr1.Root()); err != nil {
+		return 0, err
+	}
 	lp.ttbr1 = ttbr1
 	lp.ttbr1Val = cpu.MakeTTBR(uint64(ttbr1.Root()), 0)
 	if err := lp.installStub(); err != nil {

@@ -294,6 +294,33 @@ func TestStage1TableBytesGrow(t *testing.T) {
 	}
 }
 
+// TestStage1FreeReleasesEveryTableFrame: Free returns the root and every
+// intermediate and leaf table frame (and nothing else) to the allocator,
+// in both VA halves and around 2MB blocks.
+func TestStage1FreeReleasesEveryTableFrame(t *testing.T) {
+	pm := newTestPhys(t)
+	before := pm.AllocatedBytes()
+	s1, err := NewStage1(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []VA{0x1000, 0x40_0000, 0x4000_0000, 0x80_0000_0000, TTBR1Base + 0x2000} {
+		if err := s1.Map(va, 0x1000, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.MapBlock(0x60_0000, PA(HugePageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := pm.AllocatedBytes() - before; got != s1.TableBytes() {
+		t.Fatalf("tables hold %d bytes, allocator handed out %d", s1.TableBytes(), got)
+	}
+	s1.Free()
+	if got := pm.AllocatedBytes(); got != before {
+		t.Errorf("after Free %d table bytes still allocated", got-before)
+	}
+}
+
 func TestStage2MapWalk(t *testing.T) {
 	pm := newTestPhys(t)
 	s2, err := NewStage2(pm, 3)

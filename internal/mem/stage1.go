@@ -33,19 +33,23 @@ type Stage1 struct {
 	tableFrames int
 
 	// lastLeafVA/lastLeafTable cache the level-3 table of the most
-	// recently mapped 2MB region: bulk duplication (lz_alloc) maps
-	// ascending VAs, so consecutive Map calls skip the three-level
-	// descent. Leaf tables are never reclaimed until Free, so the cache
-	// only needs invalidation there and in MapBlock (which may overwrite
-	// a level-2 table slot with a block).
+	// recently mapped 2MB region: callers that Map ascending VAs
+	// (lz_enter's duplication of the kernel table, EnsureMapped) skip the
+	// three-level descent on consecutive calls. Leaf tables are never
+	// reclaimed until Free, so the cache only needs invalidation there,
+	// in MapBlock (which may overwrite a level-2 table slot with a block)
+	// and in CopyLeaves (which fills leaf tables without going through
+	// Map).
 	lastLeafVA    uint64
 	lastLeafTable PA
 
 	// OnAllocTable, when set, is invoked with the physical address of
 	// every newly allocated table frame. The LightZone module uses it to
 	// keep stage-1 table frames identity-mapped (read-only) in a
-	// process's stage-2 table so hardware walks can fetch descriptors.
-	OnAllocTable func(PA)
+	// process's stage-2 table so hardware walks can fetch descriptors. An
+	// error (the stage-2 table could not grow) fails the mapping that
+	// needed the frame.
+	OnAllocTable func(PA) error
 }
 
 // NewStage1 allocates an empty stage-1 table.
@@ -104,7 +108,9 @@ func (t *Stage1) nextTable(table PA, idx uint64, alloc bool) (PA, error) {
 	}
 	binary.LittleEndian.PutUint64(f[off:off+8], uint64(next)|DescValid|DescTable)
 	if t.OnAllocTable != nil {
-		t.OnAllocTable(next)
+		if err := t.OnAllocTable(next); err != nil {
+			return 0, err
+		}
 	}
 	return next, nil
 }
@@ -253,18 +259,32 @@ func (t *Stage1) leafAddr(va VA) (PA, error) {
 	return t.descAddr(table, s1Index(va, 3)), nil
 }
 
-// Visit walks every valid leaf mapping in ascending VA order within the
-// TTBR0 range, calling fn(va, desc, size). Used by the LightZone module to
-// duplicate and synchronize page tables (§5.1.2). Visiting stops when fn
-// returns false.
+// Visit walks every valid leaf mapping in ascending VA order, calling
+// fn(va, desc, size) with TTBR1-half addresses in canonical form. The
+// LightZone module uses it to duplicate the kernel-managed table at
+// lz_enter (§5.1.2); the verifiers use it to snapshot tables. Visiting
+// stops when fn returns false.
 func (t *Stage1) Visit(fn func(va VA, desc uint64, size uint64) bool) error {
-	return t.visit(t.root, 0, 0, fn)
+	_, err := t.visit(t.root, 0, 0, fn)
+	return err
 }
 
-func (t *Stage1) visit(table PA, level int, base uint64, fn func(VA, uint64, uint64) bool) error {
+// canonical returns the architectural form of a table-walk address: root
+// indices >= 256 select the upper (TTBR1) VA half, which sign-extends
+// bit 47.
+func canonical(va uint64) uint64 {
+	if va&(1<<(VABits-1)) != 0 {
+		va |= ^(uint64(1)<<VABits - 1)
+	}
+	return va
+}
+
+// visit walks one table and reports whether the walk should go on: a false
+// from fn stops the enclosing tables' loops too, not just this one's.
+func (t *Stage1) visit(table PA, level int, base uint64, fn func(VA, uint64, uint64) bool) (bool, error) {
 	f, err := t.pm.frame(table)
 	if err != nil {
-		return err
+		return false, err
 	}
 	span := uint64(1) << (PageShift + 9*(3-level))
 	for idx := uint64(0); idx < 512; idx++ {
@@ -272,30 +292,112 @@ func (t *Stage1) visit(table PA, level int, base uint64, fn func(VA, uint64, uin
 		if desc&DescValid == 0 {
 			continue
 		}
-		va := base + idx*span
-		// Canonicalize TTBR1-half addresses: root indices >= 256 select the
-		// upper VA half, whose architectural form sign-extends bit 47.
-		if va&(1<<(VABits-1)) != 0 {
-			va |= ^(uint64(1)<<VABits - 1)
-		}
+		va := canonical(base + idx*span)
+		more := true
 		switch {
 		case level == 3:
-			if !fn(VA(va), desc, PageSize) {
-				return nil
-			}
+			more = fn(VA(va), desc, PageSize)
 		case desc&DescTable == 0:
 			if level == 2 {
-				if !fn(VA(va), desc, HugePageSize) {
-					return nil
-				}
+				more = fn(VA(va), desc, HugePageSize)
 			}
 		default:
-			if err := t.visit(PA(desc&OAMask), level+1, va, fn); err != nil {
-				return err
+			if more, err = t.visit(PA(desc&OAMask), level+1, va, fn); err != nil {
+				return false, err
+			}
+		}
+		if !more {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// CopyLeaves copies into t every leaf mapping of src (4KB pages and 2MB
+// blocks) whose descriptor has none of the skip bits set, with the same
+// output address and attributes — the lz_alloc duplication of the base
+// table (§6.1). It works one level-3 table at a time: destination tables
+// are allocated through the same descent Map performs, in ascending VA
+// order, only for source leaf tables holding at least one copied leaf, and
+// each destination leaf table is resolved for writing once and filled
+// slot by slot. The resulting table frames, their contents and the
+// OnAllocTable calls are exactly those of calling Map (or MapBlock) for
+// each copied leaf in Visit order.
+//
+// It returns the number of leaves copied. On error the count includes the
+// leaf whose copy failed, so a caller charging per copied leaf charges
+// what the equivalent per-leaf loop would have.
+func (t *Stage1) CopyLeaves(src *Stage1, skip uint64) (int, error) {
+	t.lastLeafTable = 0
+	return t.copyLeaves(src, src.root, 0, 0, skip)
+}
+
+func (t *Stage1) copyLeaves(src *Stage1, table PA, level int, base uint64, skip uint64) (int, error) {
+	f, err := src.pm.frame(table)
+	if err != nil {
+		return 0, err
+	}
+	if level == 3 {
+		return t.copyLeafTable(f, base, skip)
+	}
+	span := uint64(1) << (PageShift + 9*(3-level))
+	n := 0
+	for idx := uint64(0); idx < 512; idx++ {
+		desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
+		if desc&DescValid == 0 {
+			continue
+		}
+		va := canonical(base + idx*span)
+		switch {
+		case desc&DescTable != 0:
+			m, err := t.copyLeaves(src, PA(desc&OAMask), level+1, va, skip)
+			n += m
+			if err != nil {
+				return n, err
+			}
+		case level == 2 && desc&skip == 0:
+			n++
+			attrs := desc &^ OAMask &^ (DescValid | DescTable | AttrAF)
+			if err := t.MapBlock(VA(va), PA(desc&OAMask), attrs); err != nil {
+				return n, err
 			}
 		}
 	}
-	return nil
+	return n, nil
+}
+
+// copyLeafTable copies the unskipped leaves of one source level-3 table
+// (frame f, mapping the 2MB region at base). The destination leaf table is
+// allocated at the first copied leaf — where Map would have descended —
+// and written in place from then on, storing exactly the descriptor Map
+// stores.
+func (t *Stage1) copyLeafTable(f *[PageSize]byte, base uint64, skip uint64) (int, error) {
+	var dst *[PageSize]byte
+	n := 0
+	for idx := uint64(0); idx < 512; idx++ {
+		desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
+		if desc&DescValid == 0 || desc&skip != 0 {
+			continue
+		}
+		n++
+		if dst == nil {
+			va := VA(base + idx*PageSize)
+			table := t.root
+			for level := 0; level < 3; level++ {
+				next, err := t.nextTable(table, s1Index(va, level), true)
+				if err != nil {
+					return n, fmt.Errorf("map %v level %d: %w", va, level, err)
+				}
+				table = next
+			}
+			var err error
+			if dst, err = t.pm.frameForWrite(table); err != nil {
+				return n, err
+			}
+		}
+		binary.LittleEndian.PutUint64(dst[idx*8:idx*8+8], desc|DescTable|AttrAF)
+	}
+	return n, nil
 }
 
 // CloneFor snapshots the table's Go-side bookkeeping for a forked machine
@@ -325,13 +427,14 @@ func (t *Stage1) Free() {
 
 func (t *Stage1) free(table PA, level int) {
 	if level < 3 {
-		for idx := uint64(0); idx < 512; idx++ {
-			desc, err := t.pm.ReadU64(t.descAddr(table, idx))
-			if err != nil {
-				continue
-			}
-			if desc&DescValid != 0 && desc&DescTable != 0 {
-				t.free(PA(desc&OAMask), level+1)
+		// One frame read per table: freeing children only returns frames
+		// to the allocator, so the descriptors stay put while we iterate.
+		if f, err := t.pm.frame(table); err == nil {
+			for idx := uint64(0); idx < 512; idx++ {
+				desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
+				if desc&DescValid != 0 && desc&DescTable != 0 {
+					t.free(PA(desc&OAMask), level+1)
+				}
 			}
 		}
 	}
