@@ -82,9 +82,6 @@ func main() {
 		durF     = flag.Float64("duration", serve.DefaultDurationS, "with -serve: virtual seconds of offered load per operating point")
 		sloF     = flag.Float64("slo", 0, "with -serve: latency SLO in microseconds; 0 derives 4x each cell's mean service time")
 		serveOut = flag.String("serveout", "", "with -serve: also write the full serve cells (calibration, churn pressure, rows) as JSON to this file")
-		zygoteF  = flag.Bool("zygote", false, "prepare benchmark machines as copy-on-write forks of pooled zygotes instead of cold boots; emitted rows must stay byte-identical")
-		zygoteB  = flag.String("zygotebench", "", "measure boot-vs-fork preparation cost on the chaos and fleet paths and write the JSON summary to this file, then exit")
-		zygoteN  = flag.Int("zygoteruns", 20, "with -zygotebench: preparations timed per path")
 	)
 	flag.Parse()
 	csvOut = *csvDir
@@ -110,16 +107,6 @@ func main() {
 	}
 	if *proofAud {
 		cpu.SetProofAuditDefault(true)
-	}
-	if *zygoteF {
-		workload.SetZygoteDefault(true)
-	}
-	if *zygoteB != "" {
-		if err := runZygoteBench(*zygoteB, *zygoteN); err != nil {
-			fmt.Fprintln(os.Stderr, "lzbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	fleet = workload.NewFleet(*parallel)
 	if *cpuProf != "" {

@@ -32,23 +32,17 @@ func TestInvariantsJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(obj["final"], &final); err != nil {
 		t.Fatalf("final report: %v", err)
 	}
-	if len(final.Checkers) != 7 {
-		t.Errorf("final report lists %d checkers, want 7", len(final.Checkers))
+	if len(final.Checkers) != 6 {
+		t.Errorf("final report lists %d checkers, want 6", len(final.Checkers))
 	}
-	semantics, aliasing := false, false
+	semantics := false
 	for _, c := range final.Checkers {
-		switch c.Name {
-		case "gate-semantics":
+		if c.Name == "gate-semantics" {
 			semantics = true
-		case "cow-aliasing":
-			aliasing = true
 		}
 	}
 	if !semantics {
 		t.Error("final report is missing the gate-semantics checker")
-	}
-	if !aliasing {
-		t.Error("final report is missing the cow-aliasing checker")
 	}
 	if final.Procs == 0 {
 		t.Error("final report covers no processes")

@@ -62,6 +62,7 @@ func (granuleBackend) Alloc(lp *LZProc) (int, error) {
 		return -1, err
 	}
 	if err := lp.populatePGT(d); err != nil {
+		lp.releasePGT(d)
 		return -1, err
 	}
 	lp.kern.CPU.Charge(lp.kern.Prof.HypDispatchCost) // realm-descriptor creation
@@ -87,15 +88,7 @@ func (granuleBackend) Free(lp *LZProc, zone int) error {
 		delete(st.owner, pa)
 		delete(st.delegated, pa)
 	}
-	lp.detachPGT(zone)
-	delete(lp.byRoot, d.S1.Root())
-	delete(lp.pgts, zone)
-	// Mirror the lightzone teardown: the ASID goes back to the kernel
-	// allocator (scoped shootdown included) and the zone id to the free
-	// list, so realm churn can't exhaust either space.
-	lp.kern.FreeASID(lp.vm.VMID, d.S1.ASID())
-	lp.freePGT = append(lp.freePGT, zone)
-	d.S1.Free()
+	lp.releasePGT(d)
 	lp.lz.observe("lz_free", lp)
 	return nil
 }
@@ -234,24 +227,4 @@ func (lp *LZProc) GranuleOwners() map[mem.PA]int {
 		out[pa] = zone
 	}
 	return out
-}
-
-// cloneGranuleState deep-copies the granule backend's delegation tracking
-// into a forked process clone (no-op for processes on other backends).
-// Confined to this file by tools/lint.
-func (lp *LZProc) cloneGranuleState(lp2 *LZProc) {
-	if lp.gran == nil {
-		return
-	}
-	st2 := &granuleState{
-		owner:     make(map[mem.PA]int, len(lp.gran.owner)),
-		delegated: make(map[mem.PA]bool, len(lp.gran.delegated)),
-	}
-	for pa, zone := range lp.gran.owner {
-		st2.owner[pa] = zone
-	}
-	for pa := range lp.gran.delegated {
-		st2.delegated[pa] = true
-	}
-	lp2.gran = st2
 }

@@ -182,3 +182,112 @@ func testAllocExhaustion(t *testing.T, backend string, top bool) {
 		t.Error("no exhaustion hit a stage-2 table allocation")
 	}
 }
+
+// TestAllocExhaustionUnwinds: a failed lz_alloc gives back everything the
+// half-built table took. Starting from fully drained memory, every
+// failure point of lz_alloc is reached in turn by releasing one frame at a
+// time (lowest first, or with top highest first, where identity-mapping a
+// table frame at stage 2 needs a stage-2 table frame too); each is hit by
+// several calls in a row. Every call must return an
+// error (never a panic), the live table count and the live ASID count must
+// not move, the id high-water mark may grow by one parked id at most, and
+// repeated calls at one failure point must allocate no further frames.
+// The lightzone case with prior domains starts at id 512, where lz_alloc
+// also needs a fresh TTBRTab page, so its last failure point is
+// writeTTBRTab.
+func TestAllocExhaustionUnwinds(t *testing.T) {
+	for _, c := range []struct {
+		backend string
+		prior   int // domains allocated before memory is drained
+	}{{"lightzone", 0}, {"granule", 0}, {"lightzone", 510}} {
+		for _, top := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prior=%d/top=%v", c.backend, c.prior, top), func(t *testing.T) {
+				testAllocUnwinds(t, c.backend, c.prior, top)
+			})
+		}
+	}
+}
+
+func testAllocUnwinds(t *testing.T, backend string, prior int, top bool) {
+	lp := newExhaustionProc(t, backend)
+	for i := 0; i < prior; i++ {
+		if _, err := lp.backend.Alloc(lp); err != nil {
+			t.Fatalf("prior domain %d: %v", i, err)
+		}
+	}
+	pm := lp.kern.PM
+	var drained []mem.PA
+	for {
+		pa, err := pm.AllocFrame()
+		if err != nil {
+			break
+		}
+		drained = append(drained, pa)
+	}
+	pgts, asids, high := len(lp.pgts), lp.kern.LiveASIDs(), lp.PGTIDHighWater()
+	ttbrTabPages := len(lp.ttbrTabPA)
+	failures, ttbrTab, stage2 := 0, 0, 0
+	for spare := 0; ; spare++ {
+		if spare > 64 || spare > len(drained) {
+			t.Fatal("lz_alloc still failing with 64 spare frames")
+		}
+		if spare > 0 {
+			next := drained[spare-1]
+			if top {
+				next = drained[len(drained)-spare]
+			}
+			pm.FreeFrame(next)
+		}
+		var used uint64
+		var firstErr error
+		for call := 0; call < 3; call++ {
+			_, err := allocNoPanic(lp)
+			if err == nil {
+				if call > 0 {
+					t.Fatalf("spare=%d: call %d succeeded after call 0 failed (%v)", spare, call, firstErr)
+				}
+				break
+			}
+			if strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("spare=%d call %d: %v", spare, call, err)
+			}
+			switch {
+			case len(lp.pgts) != pgts:
+				t.Fatalf("spare=%d call %d (%v): %d live tables, want %d", spare, call, err, len(lp.pgts), pgts)
+			case lp.kern.LiveASIDs() != asids:
+				t.Fatalf("spare=%d call %d (%v): %d live ASIDs, want %d", spare, call, err, lp.kern.LiveASIDs(), asids)
+			case lp.PGTIDHighWater() > high+1:
+				t.Fatalf("spare=%d call %d (%v): id high-water %d, want at most %d", spare, call, err, lp.PGTIDHighWater(), high+1)
+			}
+			if call == 0 {
+				firstErr, used = err, pm.AllocatedBytes()
+				failures++
+				if strings.Contains(err.Error(), "stage-2") {
+					stage2++
+				}
+				if len(lp.pgts) == pgts && len(lp.ttbrTabPA) == ttbrTabPages && prior > 0 && err == mem.ErrOutOfFrames {
+					ttbrTab++
+				}
+				continue
+			}
+			if err.Error() != firstErr.Error() {
+				t.Errorf("spare=%d call %d: error %q, first call %q", spare, call, err, firstErr)
+			}
+			if got := pm.AllocatedBytes(); got != used {
+				t.Fatalf("spare=%d call %d (%v): %d bytes allocated, %d after the first call", spare, call, err, got, used)
+			}
+		}
+		if firstErr == nil {
+			break
+		}
+	}
+	if failures < 3 {
+		t.Errorf("only %d failure points reached", failures)
+	}
+	if top && stage2 == 0 {
+		t.Error("no failure hit a stage-2 table allocation")
+	}
+	if prior > 0 && ttbrTab == 0 {
+		t.Error("no failure reached the TTBRTab page allocation")
+	}
+}

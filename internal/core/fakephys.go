@@ -96,23 +96,3 @@ func (f *FakePhys) Drop(pa mem.PA) {
 		delete(f.fkToReal, fk)
 	}
 }
-
-// Clone duplicates the translation state for a forked process: same
-// sequential-allocation cursor, same real<->fake pairs, so the child's
-// future allocations reproduce exactly what a cold-booted twin would hand
-// out.
-func (f *FakePhys) Clone() *FakePhys {
-	f2 := &FakePhys{
-		Identity: f.Identity,
-		next:     f.next,
-		realToFk: make(map[mem.PA]mem.IPA, len(f.realToFk)),
-		fkToReal: make(map[mem.IPA]mem.PA, len(f.fkToReal)),
-	}
-	for pa, fk := range f.realToFk {
-		f2.realToFk[pa] = fk
-	}
-	for fk, pa := range f.fkToReal {
-		f2.fkToReal[fk] = pa
-	}
-	return f2
-}

@@ -287,18 +287,3 @@ func GateListing(gateID int) (string, error) {
 	}
 	return arm64.DisassembleAll(words), nil
 }
-
-// cloneGateState copies the call-gate machinery's state into a forked
-// process clone. The gate code, GateTab, and TTBRTab frames live in (COW
-// shared) physical memory; only the Go-side bookkeeping moves. Confined to
-// this file by tools/lint.
-func (lp *LZProc) cloneGateState(lp2 *LZProc) {
-	lp2.gateTabPA = lp.gateTabPA
-	lp2.gateCode = lp.gateCode
-	lp2.gatePages = lp.gatePages
-	lp2.ttbrTabPA = append([]mem.PA(nil), lp.ttbrTabPA...)
-	lp2.gatePgt = make(map[int]int, len(lp.gatePgt))
-	for gate, pgt := range lp.gatePgt {
-		lp2.gatePgt[gate] = pgt
-	}
-}

@@ -239,14 +239,13 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 		// window the regime promised.
 		return nil, fmt.Errorf("page table id space (%d) exhausted with %d live", limit, len(lp.pgts))
 	}
-	s1, err := mem.NewStage1(lp.kern.PM, lp.kern.AllocASID())
+	asid := lp.kern.AllocASID()
+	s1, err := mem.NewStage1(lp.kern.PM, asid)
 	if err != nil {
+		lp.kern.FreeASID(lp.vm.VMID, asid)
 		return nil, err
 	}
 	s1.OnAllocTable = lp.s2MapTable
-	if err := lp.s2MapTable(s1.Root()); err != nil {
-		return nil, err
-	}
 	id := lp.nextPGT
 	if n := len(lp.freePGT); n > 0 {
 		id = lp.freePGT[n-1]
@@ -257,7 +256,26 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 	d := &DomainPGT{ID: id, S1: s1}
 	lp.pgts[d.ID] = d
 	lp.byRoot[s1.Root()] = d
+	if err := lp.s2MapTable(s1.Root()); err != nil {
+		lp.releasePGT(d)
+		return nil, err
+	}
 	return d, nil
+}
+
+// releasePGT unregisters domain table d and gives back everything it
+// holds: its protected-region views, its ASID (the kernel allocator
+// performs the scoped TLB shootdown), its id (parked on the free list) and
+// its table frames. lz_free on every backend and every failed lz_alloc
+// tear a table down through here, so sustained churn or repeated
+// exhaustion can exhaust neither the id nor the ASID space.
+func (lp *LZProc) releasePGT(d *DomainPGT) {
+	lp.detachPGT(d.ID)
+	delete(lp.byRoot, d.S1.Root())
+	delete(lp.pgts, d.ID)
+	lp.kern.FreeASID(lp.vm.VMID, d.S1.ASID())
+	lp.freePGT = append(lp.freePGT, d.ID)
+	d.S1.Free()
 }
 
 // translateAttrs converts a kernel-managed PTE attribute set (a user-mode
@@ -503,9 +521,11 @@ func (lp *LZProc) Alloc() (int, error) {
 		return -1, err
 	}
 	if err := lp.populatePGT(d); err != nil {
+		lp.releasePGT(d)
 		return -1, err
 	}
 	if err := lp.writeTTBRTab(d.ID, d.TTBR()); err != nil {
+		lp.releasePGT(d)
 		return -1, err
 	}
 	lp.kern.CPU.Charge(lp.kern.Prof.HandlerDispatchCost)
@@ -551,18 +571,10 @@ func (lp *LZProc) Free(pgt int) error {
 	if cur, ok := lp.currentPGT(); ok && cur == d {
 		return fmt.Errorf("lz_free: page table %d is active", pgt)
 	}
-	lp.detachPGT(pgt)
-	delete(lp.byRoot, d.S1.Root())
-	delete(lp.pgts, pgt)
-	// Return the ASID to the kernel allocator (which performs the scoped
-	// TLB shootdown) and the domain id to the free list, so sustained
-	// alloc/free churn can never exhaust either space.
-	lp.kern.FreeASID(lp.vm.VMID, d.S1.ASID())
-	lp.freePGT = append(lp.freePGT, pgt)
+	lp.releasePGT(d)
 	if err := lp.writeTTBRTab(pgt, 0); err != nil {
 		return err
 	}
-	d.S1.Free()
 	lp.lz.observe("lz_free", lp)
 	return nil
 }

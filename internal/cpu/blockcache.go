@@ -133,8 +133,7 @@ func DecodeCacheDefault() bool { return decodeCacheDefault.Load() }
 
 func newBlockCache(epochs *mem.CodeEpochs, stats *mem.Stats) *BlockCache {
 	// The block and intern maps are created on first insert: machines that
-	// never execute (zygotes, and children at the moment they fork) carry
-	// an empty cache without paying for its containers.
+	// never execute carry an empty cache without paying for its containers.
 	return &BlockCache{
 		enabled: decodeCacheDefault.Load(),
 		epochs:  epochs,

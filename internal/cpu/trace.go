@@ -150,10 +150,10 @@ type traceCache struct {
 
 func newTraceCache() traceCache {
 	// Maps are created when the first trace is installed: most machines
-	// (and every freshly forked child) never stitch one.
+	// never stitch one.
 	return traceCache{
 		enabled:   traceDefault.Load(),
-		threshold: uint32(traceHotDefault.Load()),
+		threshold: defaultTraceHot,
 	}
 }
 
@@ -161,30 +161,13 @@ func newTraceCache() traceCache {
 // tools (lzbench -notrace) can configure machines booted deep inside sweeps.
 var traceDefault atomic.Bool
 
-// traceHotDefault seeds the stitch threshold of newly created trace caches.
-var traceHotDefault atomic.Int64
-
-func init() {
-	traceDefault.Store(true)
-	traceHotDefault.Store(defaultTraceHot)
-}
+func init() { traceDefault.Store(true) }
 
 // SetTraceDefault sets whether new vCPUs start with trace compilation on.
 func SetTraceDefault(on bool) { traceDefault.Store(on) }
 
 // TraceDefault reports the current default for new vCPUs.
 func TraceDefault() bool { return traceDefault.Load() }
-
-// SetTraceHotDefault sets the stitch threshold for new vCPUs (minimum 1).
-func SetTraceHotDefault(n int) {
-	if n < 1 {
-		n = 1
-	}
-	traceHotDefault.Store(int64(n))
-}
-
-// TraceHotDefault reports the stitch threshold for new vCPUs.
-func TraceHotDefault() int { return int(traceHotDefault.Load()) }
 
 // SetTraces enables or disables trace compilation on this vCPU. All stitched
 // traces are dropped either way, so the toggle is safe mid-run: "off" leaves

@@ -483,8 +483,9 @@ func TestTraceBlockEvictionDropsDependents(t *testing.T) {
 }
 
 // TestTraceToggleAndDefaults covers the control surface: SetTraces(false)
-// drops stitched traces and stops stitching, and the process-wide defaults
-// seed new vCPUs (the lzbench -notrace path).
+// drops stitched traces and stops stitching, the process-wide default seeds
+// new vCPUs (the lzbench -notrace path), and new vCPUs stitch at
+// defaultTraceHot.
 func TestTraceToggleAndDefaults(t *testing.T) {
 	e := newEnv(t)
 	e.c.SetTraceHotThreshold(2)
@@ -510,26 +511,18 @@ func TestTraceToggleAndDefaults(t *testing.T) {
 		t.Errorf("x0 = %d, want 15", e.c.R(0))
 	}
 
-	oldOn, oldHot := TraceDefault(), TraceHotDefault()
-	defer func() {
-		SetTraceDefault(oldOn)
-		SetTraceHotDefault(oldHot)
-	}()
+	oldOn := TraceDefault()
+	defer SetTraceDefault(oldOn)
 	SetTraceDefault(false)
 	if New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20)).TracesEnabled() {
 		t.Error("new vCPU ignored the disabled trace default")
 	}
 	SetTraceDefault(true)
-	SetTraceHotDefault(3)
 	c := New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20))
 	if !c.TracesEnabled() {
 		t.Error("new vCPU ignored the enabled trace default")
 	}
-	if TraceHotDefault() != 3 {
-		t.Errorf("hot default = %d, want 3", TraceHotDefault())
-	}
-	SetTraceHotDefault(0) // clamps to 1
-	if TraceHotDefault() != 1 {
-		t.Errorf("hot default = %d, want clamp to 1", TraceHotDefault())
+	if c.tcache.threshold != defaultTraceHot {
+		t.Errorf("new vCPU stitch threshold = %d, want %d", c.tcache.threshold, defaultTraceHot)
 	}
 }

@@ -88,13 +88,6 @@ func New(prof *arm64.Profile, pm *mem.PhysMem) *VCPU {
 	tlb := mem.NewTLB(prof.TLBCapacity)
 	tlb.Stats = stats
 	tlb.Code = epochs
-	return wire(prof, pm, stats, epochs, tlb)
-}
-
-// wire assembles a VCPU around a prepared stats/epochs/TLB triple and hooks
-// up the cache-invalidation chokepoints. Fork passes a cloned TLB here so
-// the child never builds a throwaway one.
-func wire(prof *arm64.Profile, pm *mem.PhysMem, stats *mem.Stats, epochs *mem.CodeEpochs, tlb *mem.TLB) *VCPU {
 	c := &VCPU{
 		Prof:    prof,
 		Mem:     pm,

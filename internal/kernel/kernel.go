@@ -145,6 +145,17 @@ func (k *Kernel) AllocASID() uint16 {
 	return id
 }
 
+// LiveASIDs returns how many ids handed out since the last generation roll
+// are not parked on the free list — the allocator's view of the ASIDs
+// still held.
+func (k *Kernel) LiveASIDs() int {
+	handed := int(k.nextASID) - 1
+	if k.nextASID == 0 {
+		handed = 1<<16 - 1
+	}
+	return handed - len(k.asidFree)
+}
+
 // FreeASID returns an id to the allocator. vmid scopes the shootdown:
 // every TLB entry tagged (vmid, asid) is invalidated on the spot, so the
 // id's next holder — which may be a different address space entirely — can
@@ -158,9 +169,6 @@ func (k *Kernel) FreeASID(vmid, asid uint16) {
 		return
 	}
 	k.CPU.TLB.InvalidateASID(vmid, asid)
-	if k.asidFreed == nil { // forked kernels rebuild the guard lazily
-		k.asidFreed = make(map[uint16]bool)
-	}
 	k.asidFreed[asid] = true
 	k.asidFree = append(k.asidFree, asid)
 }

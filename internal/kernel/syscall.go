@@ -113,9 +113,6 @@ func (k *Kernel) DoSyscall(t *Thread, num int, args [6]uint64) (uint64, error) {
 		if sig <= 0 || sig >= 64 {
 			return errno(EINVAL), nil
 		}
-		if p.SigHandlers == nil { // forked processes rebuild this lazily
-			p.SigHandlers = make(map[int]uint64)
-		}
 		p.SigHandlers[sig] = args[1]
 		return 0, nil
 	case SysSigreturn:

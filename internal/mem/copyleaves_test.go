@@ -32,15 +32,23 @@ func copyLeavesReference(dst, src *Stage1, skip uint64) (int, error) {
 	return n, copyErr
 }
 
+// pattern returns a page of bytes that differ from every other seed's.
+func pattern(seed byte) []byte {
+	b := make([]byte, PageSize)
+	for i := range b {
+		b[i] = seed + byte(i)
+	}
+	return b
+}
+
 // buildCopySource builds a randomized base table in fresh physical memory:
 // 2MB regions of 4KB leaves in both VA halves with random attributes (some
 // skip-marked, some with the access flag clear), a region whose leaves are
 // all skip-marked, a leaf table emptied by Unmap, and 2MB blocks. Freed
 // junk frames are left on the free list so the destination reuses them.
-// With fork set, the result is a copy-on-write child of that memory, with
-// the junk frames still shared. bare lists the regions (all-skipped,
-// emptied) whose leaf tables hold no leaf to copy.
-func buildCopySource(t *testing.T, seed int64, fork bool) (pm *PhysMem, src *Stage1, bare []VA) {
+// bare lists the regions (all-skipped, emptied) whose leaf tables hold no
+// leaf to copy.
+func buildCopySource(t *testing.T, seed int64) (pm *PhysMem, src *Stage1, bare []VA) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pm = NewPhysMem(16 << 20)
@@ -111,12 +119,7 @@ func buildCopySource(t *testing.T, seed int64, fork bool) (pm *PhysMem, src *Sta
 	for _, pa := range junk {
 		pm.FreeFrame(pa)
 	}
-	bare = []VA{skipped, emptied}
-	if !fork {
-		return pm, src, bare
-	}
-	child := pm.Fork()
-	return child, src.CloneFor(child), bare
+	return pm, src, []VA{skipped, emptied}
 }
 
 // copyResult is everything a copy can be observed by.
@@ -129,7 +132,6 @@ type copyResult struct {
 	frames []PA // materialized frames, ascending
 	image  [][]byte
 	used   uint64
-	cow    uint64
 	dst    *Stage1
 }
 
@@ -165,7 +167,7 @@ func runCopy(t *testing.T, pm *PhysMem, src *Stage1, spare, hookFail int, copyFn
 	}
 	r.n, r.err = copyFn(dst, src)
 	r.dst = dst
-	r.root, r.bytes, r.used, r.cow = dst.Root(), dst.TableBytes(), pm.AllocatedBytes(), pm.COWCopies()
+	r.root, r.bytes, r.used = dst.Root(), dst.TableBytes(), pm.AllocatedBytes()
 	pm.VisitFrames(func(pa PA, f *[PageSize]byte) {
 		r.frames = append(r.frames, pa)
 		r.image = append(r.image, append([]byte(nil), f[:]...))
@@ -183,8 +185,8 @@ func (r copyResult) diff(ref copyResult) error {
 		return fmt.Errorf("table frames %v %v, per-leaf copy %v %v", r.root, r.allocs, ref.root, ref.allocs)
 	case r.bytes != ref.bytes:
 		return fmt.Errorf("TableBytes %d, per-leaf copy %d", r.bytes, ref.bytes)
-	case r.used != ref.used || r.cow != ref.cow:
-		return fmt.Errorf("allocated %d cow %d, per-leaf copy %d cow %d", r.used, r.cow, ref.used, ref.cow)
+	case r.used != ref.used:
+		return fmt.Errorf("allocated %d, per-leaf copy %d", r.used, ref.used)
 	case fmt.Sprint(r.frames) != fmt.Sprint(ref.frames):
 		return fmt.Errorf("materialized frames differ from the per-leaf copy")
 	}
@@ -202,30 +204,25 @@ func referenceCopy(dst, src *Stage1) (int, error) {
 	return copyLeavesReference(dst, src, AttrSWLZProt)
 }
 
-// TestCopyLeavesMatchesPerLeafCopy: over randomized base tables, cold and
-// copy-on-write forked, the table-granular copy allocates the same table
+// TestCopyLeavesMatchesPerLeafCopy: over randomized base tables, the
+// table-granular copy allocates the same table
 // frames in the same order, writes the same bytes, materializes the same
 // frames and counts the same leaves as the per-leaf Visit+Map loop.
 func TestCopyLeavesMatchesPerLeafCopy(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, fork := range []bool{false, true} {
-			pmRef, srcRef, _ := buildCopySource(t, seed, fork)
-			pm, src, bare := buildCopySource(t, seed, fork)
-			ref := runCopy(t, pmRef, srcRef, -1, -1, referenceCopy)
-			got := runCopy(t, pm, src, -1, -1, copyLeaves)
-			if ref.err != nil {
-				t.Fatalf("seed %d fork=%v: per-leaf copy failed: %v", seed, fork, ref.err)
-			}
-			if err := got.diff(ref); err != nil {
-				t.Errorf("seed %d fork=%v: %v", seed, fork, err)
-			}
-			for _, va := range bare {
-				if slot, err := got.dst.leafAddr(va); err != nil || slot != 0 {
-					t.Errorf("seed %d fork=%v: leaf table allocated for %v, which has no leaf to copy", seed, fork, va)
-				}
-			}
-			if fork && len(pm.AuditCOW()) != 0 {
-				t.Errorf("seed %d: copy in a fork broke COW accounting: %v", seed, pm.AuditCOW())
+		pmRef, srcRef, _ := buildCopySource(t, seed)
+		pm, src, bare := buildCopySource(t, seed)
+		ref := runCopy(t, pmRef, srcRef, -1, -1, referenceCopy)
+		got := runCopy(t, pm, src, -1, -1, copyLeaves)
+		if ref.err != nil {
+			t.Fatalf("seed %d: per-leaf copy failed: %v", seed, ref.err)
+		}
+		if err := got.diff(ref); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		for _, va := range bare {
+			if slot, err := got.dst.leafAddr(va); err != nil || slot != 0 {
+				t.Errorf("seed %d: leaf table allocated for %v, which has no leaf to copy", seed, va)
 			}
 		}
 	}
@@ -238,25 +235,23 @@ func TestCopyLeavesMatchesPerLeafCopy(t *testing.T) {
 func TestCopyLeavesMatchesPerLeafCopyOnFailure(t *testing.T) {
 	midCopy := 0
 	for seed := int64(1); seed <= 12; seed++ {
-		for _, fork := range []bool{false, true} {
-			pmFull, srcFull, _ := buildCopySource(t, seed, fork)
-			full := runCopy(t, pmFull, srcFull, -1, -1, referenceCopy)
-			steps := len(full.allocs)
-			for k := 0; k <= steps; k++ {
-				for _, c := range []struct{ spare, hookFail int }{{k, -1}, {-1, k}} {
-					pmRef, srcRef, _ := buildCopySource(t, seed, fork)
-					pm, src, _ := buildCopySource(t, seed, fork)
-					ref := runCopy(t, pmRef, srcRef, c.spare, c.hookFail, referenceCopy)
-					got := runCopy(t, pm, src, c.spare, c.hookFail, copyLeaves)
-					if err := got.diff(ref); err != nil {
-						t.Errorf("seed %d fork=%v spare=%d hookFail=%d: %v", seed, fork, c.spare, c.hookFail, err)
-					}
-					if k < steps && ref.err == nil {
-						t.Errorf("seed %d fork=%v spare=%d hookFail=%d: copy did not fail", seed, fork, c.spare, c.hookFail)
-					}
-					if ref.err != nil && ref.n > 1 && ref.n < full.n {
-						midCopy++
-					}
+		pmFull, srcFull, _ := buildCopySource(t, seed)
+		full := runCopy(t, pmFull, srcFull, -1, -1, referenceCopy)
+		steps := len(full.allocs)
+		for k := 0; k <= steps; k++ {
+			for _, c := range []struct{ spare, hookFail int }{{k, -1}, {-1, k}} {
+				pmRef, srcRef, _ := buildCopySource(t, seed)
+				pm, src, _ := buildCopySource(t, seed)
+				ref := runCopy(t, pmRef, srcRef, c.spare, c.hookFail, referenceCopy)
+				got := runCopy(t, pm, src, c.spare, c.hookFail, copyLeaves)
+				if err := got.diff(ref); err != nil {
+					t.Errorf("seed %d spare=%d hookFail=%d: %v", seed, c.spare, c.hookFail, err)
+				}
+				if k < steps && ref.err == nil {
+					t.Errorf("seed %d spare=%d hookFail=%d: copy did not fail", seed, c.spare, c.hookFail)
+				}
+				if ref.err != nil && ref.n > 1 && ref.n < full.n {
+					midCopy++
 				}
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"sync/atomic"
 )
 
 // ErrOutOfFrames is returned when the frame allocator is exhausted.
@@ -22,14 +20,6 @@ const frameChunkShift = 9
 
 type frameChunk [1 << frameChunkShift]*[PageSize]byte
 
-// cowChunk parallels frameChunk with per-frame share counters. A non-nil
-// cell means the frame's storage is (or was) shared with a fork relative;
-// the cell's value is the number of PhysMems whose frame table still points
-// at that storage. Cells are shared across the fork family and atomic so
-// forked machines running on different goroutines can break sharing
-// concurrently.
-type cowChunk [1 << frameChunkShift]*atomic.Int64
-
 type PhysMem struct {
 	chunks    []*frameChunk
 	numFrames uint64
@@ -41,21 +31,6 @@ type PhysMem struct {
 	// per page, which matters when fleet sweeps materialize tens of
 	// thousands of frames.
 	pool [][PageSize]byte
-
-	// COW fork state (zygote snapshot/fork, DESIGN.md §14). These fields
-	// are confined to this file by tools/lint: the copy-on-write soundness
-	// argument — every mutation funnels through frameForWrite, refcounts
-	// account every holder — is an audit of phys.go alone.
-	cowShares []*cowChunk // per-frame share cells, parallel to chunks
-	// cowChunkShared[ci] marks the chunk and share arrays at ci as shared
-	// with a fork relative: Fork hands out the array pointers instead of
-	// copying 4KB of metadata per live chunk, and every slot store goes
-	// through unshare to privatize the arrays first. Relatives only ever
-	// read shared arrays, so children may run concurrently.
-	cowChunkShared []bool
-	cowParent      *PhysMem // the PhysMem this one was forked from (nil at cold boot)
-	cowForks       uint64   // number of children forked off this PhysMem
-	cowCopies      uint64   // frames privatized by copy-on-write (the dirty-page count)
 }
 
 // frameBatch is how many frames one pool allocation covers (64KB batches).
@@ -82,9 +57,8 @@ func NewPhysMem(size uint64) *PhysMem {
 
 // chunkFor returns the chunk holding frame index idx, materializing it (and
 // growing the chunk table, which is sized to the highest chunk ever touched
-// rather than the full address space) on first use. Keeping the table dense
-// only up to the live span is what makes Fork O(materialized frames): a 4GB
-// machine that touches one 2MB span forks a one-entry table, not 2048.
+// rather than the full address space) on first use: a 4GB machine that
+// touches one 2MB span carries a one-entry table, not 2048.
 func (m *PhysMem) chunkFor(idx uint64) *frameChunk {
 	ci := idx >> frameChunkShift
 	if ci >= uint64(len(m.chunks)) {
@@ -113,28 +87,8 @@ func (m *PhysMem) AllocFrame() (PA, error) {
 		m.freeList = m.freeList[:len(m.freeList)-1]
 		// Reused frames must be zeroed for page-table safety.
 		ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-		if ch := m.chunkAt(ci); ch != nil {
-			if f := ch[fi]; f != nil {
-				switch cell := m.cowCell(idx); {
-				case cell == nil:
-					*f = [PageSize]byte{}
-				case cell.Load() > 1:
-					// The storage is still shared with a fork relative:
-					// zeroing in place would wipe the relative's view of
-					// the page. Detach to a fresh zero frame instead; the
-					// slot stays materialized so the digest's frame set
-					// matches a cold boot's.
-					m.unshare(ci)
-					m.chunks[ci][fi] = m.newFrame()
-					m.cowShares[ci][fi] = nil
-					cell.Add(-1)
-					m.cowCopies++
-				default:
-					m.unshare(ci)
-					m.cowShares[ci][fi] = nil
-					*f = [PageSize]byte{}
-				}
-			}
+		if ch := m.chunkAt(ci); ch != nil && ch[fi] != nil {
+			*ch[fi] = [PageSize]byte{}
 		}
 	case m.next < m.numFrames:
 		idx = m.next
@@ -182,31 +136,6 @@ func (m *PhysMem) chunkAt(ci uint64) *frameChunk {
 	return m.chunks[ci]
 }
 
-// unshare privatizes chunk ci's metadata arrays (the frame pointers and the
-// share cells) before a slot store. Fork shares the array pointers with the
-// child; since every mutator copies before its first store, a shared array
-// is only ever read, and fork relatives can run concurrently without
-// observing each other's metadata updates. The share cells themselves stay
-// shared — they count holders across the whole family.
-func (m *PhysMem) unshare(ci uint64) {
-	if ci >= uint64(len(m.cowChunkShared)) || !m.cowChunkShared[ci] {
-		return
-	}
-	if ch := m.chunks[ci]; ch != nil {
-		nch := new(frameChunk)
-		*nch = *ch
-		m.chunks[ci] = nch
-	}
-	if ci < uint64(len(m.cowShares)) {
-		if sc := m.cowShares[ci]; sc != nil {
-			nsc := new(cowChunk)
-			*nsc = *sc
-			m.cowShares[ci] = nsc
-		}
-	}
-	m.cowChunkShared[ci] = false
-}
-
 func (m *PhysMem) frame(pa PA) (*[PageSize]byte, error) {
 	idx := uint64(pa) >> PageShift
 	if idx >= m.numFrames {
@@ -215,267 +144,10 @@ func (m *PhysMem) frame(pa PA) (*[PageSize]byte, error) {
 	ch := m.chunkFor(idx)
 	f := ch[idx&(1<<frameChunkShift-1)]
 	if f == nil {
-		m.unshare(idx >> frameChunkShift)
-		ch = m.chunks[idx>>frameChunkShift]
 		f = m.newFrame()
 		ch[idx&(1<<frameChunkShift-1)] = f
 	}
 	return f, nil
-}
-
-// cowCell returns the share counter for a frame index, or nil when the
-// frame's storage is exclusively owned.
-func (m *PhysMem) cowCell(idx uint64) *atomic.Int64 {
-	ci := idx >> frameChunkShift
-	if ci >= uint64(len(m.cowShares)) {
-		return nil
-	}
-	ch := m.cowShares[ci]
-	if ch == nil {
-		return nil
-	}
-	return ch[idx&(1<<frameChunkShift-1)]
-}
-
-// frameForWrite is the mutation funnel: it returns a frame that is safe to
-// write, breaking copy-on-write sharing first when the storage is held by a
-// fork relative. Ordering matters for concurrently running forks: the copy
-// happens before the refcount drop, so no other holder can ever observe a
-// count of 1 (and write in place) while this PhysMem still reads the shared
-// bytes. Every physical-memory write path — Write, WriteUint, and the
-// stage-1/stage-2 table walkers' descriptor stores — resolves frames here.
-func (m *PhysMem) frameForWrite(pa PA) (*[PageSize]byte, error) {
-	f, err := m.frame(pa)
-	if err != nil {
-		return nil, err
-	}
-	idx := uint64(pa) >> PageShift
-	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-	if ci >= uint64(len(m.cowShares)) {
-		return f, nil
-	}
-	sc := m.cowShares[ci]
-	if sc == nil || sc[fi] == nil {
-		return f, nil
-	}
-	cell := sc[fi]
-	if cell.Load() > 1 {
-		nf := m.newFrame()
-		*nf = *f // copy first …
-		m.unshare(ci)
-		m.chunks[ci][fi] = nf
-		m.cowShares[ci][fi] = nil
-		cell.Add(-1) // … then release the shared storage
-		m.cowCopies++
-		return nf, nil
-	}
-	// Sole remaining holder: reclaim exclusive ownership and write in place.
-	m.unshare(ci)
-	m.cowShares[ci][fi] = nil
-	return f, nil
-}
-
-// Fork snapshots this PhysMem into a copy-on-write child: the child shares
-// every materialized frame's storage with the parent (share counters track
-// each holder) and privatizes a frame only on its first write, so a fork
-// costs O(materialized frame table) pointer copies instead of O(memory).
-// Allocator state (next, free list, allocated count) is duplicated so the
-// child allocates exactly as a cold-booted machine would.
-//
-// The batch pool is dropped on both sides: remaining pool slots index into
-// one shared backing array, and letting parent and child carve the same
-// slot would silently alias two unrelated frames across the fork boundary
-// (the PR 4 batch-allocation hazard). Forks of the same parent must be
-// serialized by the caller (the zygote pool holds a per-zygote lock), but
-// forked children may run and break sharing concurrently.
-func (m *PhysMem) Fork() *PhysMem {
-	// The chunk table only spans what was touched; keep the share and
-	// shared-flag tables in step (chunks materialized since the last fork
-	// extend them).
-	if len(m.cowShares) < len(m.chunks) {
-		m.cowShares = append(m.cowShares, make([]*cowChunk, len(m.chunks)-len(m.cowShares))...)
-	}
-	if len(m.cowChunkShared) < len(m.chunks) {
-		m.cowChunkShared = append(m.cowChunkShared, make([]bool, len(m.chunks)-len(m.cowChunkShared))...)
-	}
-	m.pool = nil
-	for ci, ch := range m.chunks {
-		if ch == nil {
-			continue
-		}
-		sc := m.cowShares[ci]
-		if sc == nil {
-			sc = new(cowChunk)
-			m.cowShares[ci] = sc
-		}
-		for fi, f := range ch {
-			if f == nil {
-				continue
-			}
-			cell := sc[fi]
-			if cell == nil {
-				// Storing a fresh cell mutates the share array: privatize
-				// it first if an earlier fork still reads it. (In practice
-				// a still-shared chunk cannot hold cell-less frames —
-				// materializing one unshares — but stay defensive.)
-				if m.cowChunkShared[ci] {
-					m.unshare(uint64(ci))
-					sc = m.cowShares[ci]
-				}
-				cell = new(atomic.Int64)
-				cell.Store(1)
-				sc[fi] = cell
-			}
-			cell.Add(1)
-		}
-		m.cowChunkShared[ci] = true
-	}
-	child := &PhysMem{
-		// Hand the metadata array pointers to the child instead of copying
-		// them: both sides are flagged shared, and the first slot store on
-		// either side privatizes through unshare. Fork is O(live chunks),
-		// not O(live chunks × chunk size).
-		chunks:         append([]*frameChunk(nil), m.chunks...),
-		cowShares:      append([]*cowChunk(nil), m.cowShares...),
-		cowChunkShared: append([]bool(nil), m.cowChunkShared...),
-		numFrames:      m.numFrames,
-		next:           m.next,
-		freeList:       append([]uint64(nil), m.freeList...),
-		allocated:      m.allocated,
-		cowParent:      m,
-	}
-	m.cowForks++
-	return child
-}
-
-// Forks returns how many children have been forked off this PhysMem.
-func (m *PhysMem) Forks() uint64 { return m.cowForks }
-
-// COWCopies returns the number of frames this PhysMem privatized after a
-// fork — the dirty-page count of the zygote model.
-func (m *PhysMem) COWCopies() uint64 { return m.cowCopies }
-
-// SharedFrames counts materialized frames whose storage is still shared
-// with a fork relative.
-func (m *PhysMem) SharedFrames() uint64 {
-	var n uint64
-	for ci, ch := range m.chunks {
-		if ch == nil || ci >= len(m.cowShares) || m.cowShares[ci] == nil {
-			continue
-		}
-		sc := m.cowShares[ci]
-		for fi := range ch {
-			if ch[fi] != nil && sc[fi] != nil && sc[fi].Load() > 1 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// COWIssue is one violation found by AuditCOW.
-type COWIssue struct {
-	// PA is the exact physical address of the offending frame.
-	PA PA
-	// Detail describes the violation.
-	Detail string
-}
-
-// AuditCOW proves that copy-on-write sharing never aliases across isolation
-// domains: walking the fork family (this PhysMem and its parent chain), (a)
-// one frame storage must never back two different physical addresses — that
-// would make a write at one PA appear at another, the cross-domain aliasing
-// attack — and (b) storage held by more than one family member must carry a
-// live share cell accounted by every holder, since an unaccounted holder
-// would write shared bytes in place while a relative still reads them.
-// Observation-only: no frames are materialized and no counters change.
-func (m *PhysMem) AuditCOW() []COWIssue {
-	var fam []*PhysMem
-	for p := m; p != nil; p = p.cowParent {
-		fam = append(fam, p)
-	}
-	type holder struct {
-		pa   PA
-		cell *atomic.Int64
-	}
-	byStorage := make(map[*[PageSize]byte][]holder)
-	for _, p := range fam {
-		for ci, ch := range p.chunks {
-			if ch == nil {
-				continue
-			}
-			var sc *cowChunk
-			if ci < len(p.cowShares) {
-				sc = p.cowShares[ci]
-			}
-			for fi, f := range ch {
-				if f == nil {
-					continue
-				}
-				var cell *atomic.Int64
-				if sc != nil {
-					cell = sc[fi]
-				}
-				pa := PA((uint64(ci)<<frameChunkShift | uint64(fi)) << PageShift)
-				byStorage[f] = append(byStorage[f], holder{pa: pa, cell: cell})
-			}
-		}
-	}
-	var issues []COWIssue
-	for _, hs := range byStorage {
-		if len(hs) == 1 {
-			continue
-		}
-		base := hs[0]
-		shared := 0
-		for _, h := range hs {
-			if h.pa != base.pa {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame storage aliased across the fork family: also backs %v", base.pa)})
-				continue
-			}
-			if h.cell == nil {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame %v shared by %d fork-family members without a share cell: an in-place write would leak across domains", h.pa, len(hs))})
-				continue
-			}
-			if h.cell != base.cell {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame %v holders disagree on the share cell", h.pa)})
-				continue
-			}
-			shared++
-		}
-		if shared > 0 && base.cell != nil && base.cell.Load() < int64(shared) {
-			issues = append(issues, COWIssue{PA: base.pa, Detail: fmt.Sprintf(
-				"frame %v share count %d below its %d live holders", base.pa, base.cell.Load(), shared)})
-		}
-	}
-	sort.Slice(issues, func(i, j int) bool {
-		if issues[i].PA != issues[j].PA {
-			return issues[i].PA < issues[j].PA
-		}
-		return issues[i].Detail < issues[j].Detail
-	})
-	return issues
-}
-
-// PlantCOWAlias redirects dst's frame slot at the storage backing src with
-// no share accounting — the cross-domain frame-share attack the
-// cow-aliasing checker must catch at the exact PA. Planted-battery and test
-// use only.
-func (m *PhysMem) PlantCOWAlias(src, dst PA) error {
-	sf, err := m.frame(src)
-	if err != nil {
-		return err
-	}
-	if _, err := m.frame(dst); err != nil {
-		return err
-	}
-	idx := uint64(dst) >> PageShift
-	m.unshare(idx >> frameChunkShift)
-	m.chunks[idx>>frameChunkShift][idx&(1<<frameChunkShift-1)] = sf
-	return nil
 }
 
 // VisitFrames calls fn for every materialized frame in ascending physical
@@ -515,7 +187,7 @@ func (m *PhysMem) Read(pa PA, buf []byte) error {
 // Write copies buf into physical memory starting at pa.
 func (m *PhysMem) Write(pa PA, buf []byte) error {
 	for len(buf) > 0 {
-		f, err := m.frameForWrite(pa)
+		f, err := m.frame(pa)
 		if err != nil {
 			return err
 		}
@@ -552,7 +224,7 @@ func (m *PhysMem) ReadUint(pa PA, size int) (uint64, error) {
 // frame boundary. Callers must check the bound; crossing accesses go
 // through Write.
 func (m *PhysMem) WriteUint(pa PA, size int, v uint64) error {
-	f, err := m.frameForWrite(pa)
+	f, err := m.frame(pa)
 	if err != nil {
 		return err
 	}

@@ -99,13 +99,6 @@ func (t *Stage1) nextTable(table PA, idx uint64, alloc bool) (PA, error) {
 		return 0, err
 	}
 	t.tableFrames++
-	// Re-resolve for writing: the table frame may be copy-on-write shared
-	// after a fork, and the descriptor store must land in this machine's
-	// private copy.
-	f, err = t.pm.frameForWrite(table)
-	if err != nil {
-		return 0, err
-	}
 	binary.LittleEndian.PutUint64(f[off:off+8], uint64(next)|DescValid|DescTable)
 	if t.OnAllocTable != nil {
 		if err := t.OnAllocTable(next); err != nil {
@@ -391,29 +384,13 @@ func (t *Stage1) copyLeafTable(f *[PageSize]byte, base uint64, skip uint64) (int
 				table = next
 			}
 			var err error
-			if dst, err = t.pm.frameForWrite(table); err != nil {
+			if dst, err = t.pm.frame(table); err != nil {
 				return n, err
 			}
 		}
 		binary.LittleEndian.PutUint64(dst[idx*8:idx*8+8], desc|DescTable|AttrAF)
 	}
 	return n, nil
-}
-
-// CloneFor snapshots the table's Go-side bookkeeping for a forked machine
-// whose physical memory pm2 copy-on-write shares this table's frames. The
-// descriptors themselves live in physical memory and are already covered by
-// the fork; only the metadata needs re-pointing. OnAllocTable is left nil
-// for the caller to re-wire to the fork's owner.
-func (t *Stage1) CloneFor(pm2 *PhysMem) *Stage1 {
-	return &Stage1{
-		pm:            pm2,
-		root:          t.root,
-		asid:          t.asid,
-		tableFrames:   t.tableFrames,
-		lastLeafVA:    t.lastLeafVA,
-		lastLeafTable: t.lastLeafTable,
-	}
 }
 
 // Free releases every frame owned by the table structure (not the mapped

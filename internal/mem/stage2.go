@@ -58,12 +58,6 @@ func (t *Stage2) nextTable(table PA, idx uint64, alloc bool) (PA, error) {
 		return 0, err
 	}
 	t.tableFrames++
-	// Re-resolve for writing: see Stage1.nextTable — the descriptor store
-	// must break copy-on-write sharing of the table frame.
-	f, err = t.pm.frameForWrite(table)
-	if err != nil {
-		return 0, err
-	}
 	binary.LittleEndian.PutUint64(f[off:off+8], uint64(next)|DescValid|DescTable)
 	return next, nil
 }
@@ -234,13 +228,6 @@ func (t *Stage2) visit(table PA, level int, base uint64, fn func(IPA, uint64, ui
 		}
 	}
 	return nil
-}
-
-// CloneFor snapshots the table's Go-side bookkeeping for a forked machine
-// whose physical memory pm2 copy-on-write shares this table's frames (see
-// Stage1.CloneFor).
-func (t *Stage2) CloneFor(pm2 *PhysMem) *Stage2 {
-	return &Stage2{pm: pm2, root: t.root, vmid: t.vmid, tableFrames: t.tableFrames}
 }
 
 // Free releases the table frames.

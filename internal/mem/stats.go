@@ -62,7 +62,7 @@ type CodeEpochs struct {
 
 // NewCodeEpochs creates an epoch tracker reporting into stats (may be nil).
 // The epoch maps are created on the first bump: machines that never rewrite
-// code (and freshly forked children) never allocate them.
+// code never allocate them.
 func NewCodeEpochs(stats *Stats) *CodeEpochs {
 	return &CodeEpochs{stats: stats}
 }

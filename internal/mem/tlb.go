@@ -75,9 +75,9 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	// Containers are created lazily on first insert: fleet sweeps and
-	// zygote forks create machines by the thousand, most of whose TLBs
-	// never fill, so even empty maps would dominate construction.
+	// Containers are created lazily on first insert: fleet sweeps and eval
+	// cells boot machines by the thousand, most of whose TLBs never fill,
+	// so even empty maps would dominate construction.
 	return &TLB{capacity: capacity}
 }
 
@@ -361,41 +361,6 @@ func (t *TLB) invalidate(match func(uint64) bool) {
 		}
 	}
 	t.order = kept
-}
-
-// Clone deep-copies the architectural TLB for a forked machine: the entry
-// set, FIFO order, context intern tables, memo, generation, and hit/miss
-// counters all transfer exactly — TLB warmth is digest-visible through the
-// hit/miss counts, so a fork must resume from precisely the state a cold
-// boot reaches. stats and code re-point the mirrors at the fork's own
-// Stats/CodeEpochs so counter updates never cross machines.
-func (t *TLB) Clone(stats *Stats, code *CodeEpochs) *TLB {
-	c := &TLB{
-		order:    append([]uint64(nil), t.order...),
-		capacity: t.capacity,
-		ctxList:  append([]ctxKey(nil), t.ctxList...),
-		ctxMemo:  t.ctxMemo,
-		Hits:     t.Hits,
-		Misses:   t.Misses,
-		gen:      t.gen,
-		Stats:    stats,
-		Code:     code,
-	}
-	// Maps are only built when the source holds entries: cloning a cold
-	// TLB (the zygote fork path) allocates no containers at all.
-	if len(t.entries) > 0 {
-		c.entries = make(map[uint64]TLBEntry, len(t.entries))
-		for k, e := range t.entries {
-			c.entries[k] = e
-		}
-	}
-	if len(t.ctxIDs) > 0 {
-		c.ctxIDs = make(map[ctxKey]uint64, len(t.ctxIDs))
-		for k, id := range t.ctxIDs {
-			c.ctxIDs[k] = id
-		}
-	}
-	return c
 }
 
 // Len returns the number of cached entries.

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -93,5 +95,66 @@ func TestChaosSweepDeterministicAcrossWidths(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("sweep diverged across fleet widths\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
+// TestRegenerateChaosSeedJournal rebuilds the committed chaos seed journal
+// from the engine. Guarded by an environment variable: the journal is a
+// fixture pinning the classification of every injection, so regenerating
+// it is a deliberate act, never part of a normal test run.
+func TestRegenerateChaosSeedJournal(t *testing.T) {
+	if os.Getenv("LZ_REGEN_CHAOS_JOURNAL") == "" {
+		t.Skip("set LZ_REGEN_CHAOS_JOURNAL=1 to regenerate testdata/chaos_prefork.journal.json")
+	}
+	var runner chaosRunner
+	var rows []string
+	for _, inj := range Injections() {
+		plan := Plan{Scenario: "ttbr-8", Injection: inj.Name,
+			SliceTraps: 8, InjectAt: 3, Repeat: 1}
+		res := runner.RunCase(plan)
+		if !res.Pass {
+			t.Fatalf("case failed, refusing to pin it: %+v", res)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, string(b))
+	}
+	j := &Journal{Version: Version, Kind: KindBench,
+		Config: RunConfig{Suites: []string{"chaos-prefork"}}, Rows: rows}
+	j.Seal()
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Write("testdata/chaos_prefork.journal.json"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChaosSeedJournalReplaysClean replays the committed seed journal: the
+// classification recorded for every injection must reproduce exactly.
+func TestChaosSeedJournalReplaysClean(t *testing.T) {
+	j, err := ReadJournal("testdata/chaos_prefork.journal.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Validate(); err != nil {
+		t.Fatalf("seed journal corrupt: %v", err)
+	}
+	var runner chaosRunner
+	for i, row := range j.Rows {
+		var want ChaosResult
+		if err := json.Unmarshal([]byte(row), &want); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		plan := Plan{Scenario: want.Scenario, Injection: want.Injection,
+			SliceTraps: 8, InjectAt: 3, Repeat: 1}
+		got := runner.RunCase(plan)
+		got.Case = want.Case
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d (%s) drifted from the seed journal:\ngot:  %+v\nwant: %+v",
+				i, want.Injection, got, want)
+		}
 	}
 }

@@ -32,20 +32,6 @@ type ChaosResult struct {
 // agree; the cache only saves work.
 type chaosRunner struct {
 	baselines sync.Map // "scenario/sliceTraps" -> *chaosBaseline
-	// prepare builds the scenario machine. Nil means the default: fork a
-	// copy-on-write child of the scenario's zygote, so every injection
-	// case costs O(dirty pages) instead of a full boot. The fork-identity
-	// pinning tests swap in the cold-boot path to prove the classification
-	// of every injection is unchanged.
-	prepare func(workload.DomainSwitchConfig) (*workload.Env, *kernel.Process, error)
-}
-
-// prep builds a scenario machine through the runner's configured path.
-func (r *chaosRunner) prep(cfg workload.DomainSwitchConfig) (*workload.Env, *kernel.Process, error) {
-	if r.prepare != nil {
-		return r.prepare(cfg)
-	}
-	return workload.ForkDomainSwitch(cfg)
 }
 
 type chaosBaseline struct {
@@ -91,7 +77,7 @@ func (r *chaosRunner) baseline(scn Scenario, slice int64) (Digest, int, error) {
 	v, _ := r.baselines.LoadOrStore(key, &chaosBaseline{})
 	b := v.(*chaosBaseline)
 	b.once.Do(func() {
-		env, p, err := r.prep(scn.Config())
+		env, p, err := workload.PrepareDomainSwitch(scn.Config())
 		if err != nil {
 			b.err = err
 			return
@@ -144,7 +130,7 @@ func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 	}
 	injAt := plan.InjectAt % boundaries
 
-	env, p, err := r.prep(scn.Config())
+	env, p, err := workload.PrepareDomainSwitch(scn.Config())
 	if err != nil {
 		return fail("prepare: %v", err)
 	}

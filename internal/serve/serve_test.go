@@ -181,37 +181,6 @@ func TestSweepDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestSweepZygoteCalibrationIdentical: calibrating cells on zygote forks
-// (Config.Zygote) must leave every harness number byte-identical to
-// cold-boot calibration — forking only removes boot work.
-func TestSweepZygoteCalibrationIdentical(t *testing.T) {
-	workload.ResetZygotes()
-	t.Cleanup(workload.ResetZygotes)
-	cfg := Config{Platform: carmel(), Arrival: ArrivalBursty, RPS: 2000, DurationS: 0.5, Seed: 9}
-	specs := []Spec{toySpec(128)}
-	cold, err := Sweep(workload.NewFleet(1), cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Zygote = true
-	forks := workload.ZygoteForkCount()
-	warm, err := Sweep(workload.NewFleet(1), cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if workload.ZygoteForkCount() == forks {
-		t.Error("Zygote sweep forked no children; calibration still cold-boots")
-	}
-	if workload.ZygoteDefault() {
-		t.Error("Sweep leaked the zygote default past its run")
-	}
-	a, _ := json.Marshal(cold)
-	b, _ := json.Marshal(warm)
-	if string(a) != string(b) {
-		t.Fatalf("zygote calibration moved harness numbers:\n  cold: %s\n  fork: %s", a, b)
-	}
-}
-
 // TestRegimeCapsResidentSet pins the NR_LZID contrast: services larger than
 // the 128-id regime get capped (and their gate pressure with them), while
 // the 2^16 regime holds the full resident set.

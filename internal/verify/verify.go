@@ -112,11 +112,6 @@ func CheckersFor(backend string) []Checker {
 			Desc: "TLB entries and valid decoded blocks agree with the current page tables and memory",
 			Run:  checkCaches,
 		},
-		{
-			Name: "cow-aliasing",
-			Desc: "no copy-on-write frame storage backs two physical addresses in one machine; every shared frame carries a share cell covering its live holders",
-			Run:  checkCOWAliasing,
-		},
 	}
 }
 

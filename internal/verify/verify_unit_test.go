@@ -8,7 +8,7 @@ import (
 // The registry is an ordered contract: CLI output columns, CI lanes, and the
 // planted-attack battery all address checkers by these names in this order.
 func TestCheckerRegistry(t *testing.T) {
-	want := []string{"wx-audit", "sanitizer-sweep", "gate-integrity", "gate-semantics", "cfg-reachability", "cache-coherence", "cow-aliasing"}
+	want := []string{"wx-audit", "sanitizer-sweep", "gate-integrity", "gate-semantics", "cfg-reachability", "cache-coherence"}
 	cs := Checkers()
 	if len(cs) != len(want) {
 		t.Fatalf("registry has %d checkers, want %d", len(cs), len(want))

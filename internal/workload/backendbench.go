@@ -111,14 +111,6 @@ func buildGranuleSwitchProgram(a *arm64.Asm, cfg DomainSwitchConfig) {
 // prepareBackendSwitch boots a backend environment and assembles its switch
 // benchmark without running it (the overlay/granule analogue of
 // prepareDomainSwitch; lightzone callers go through the Table 5 path).
-// PrepareBackendSwitch boots a backend environment and assembles the
-// switch benchmark without running it, for external drivers (the
-// fork-identity suite forks the prepared machine and proves the child
-// digest-identical to this cold boot).
-func PrepareBackendSwitch(cfg BackendSwitchConfig) (*Env, *kernel.Process, error) {
-	return prepareBackendSwitch(cfg)
-}
-
 func prepareBackendSwitch(cfg BackendSwitchConfig) (*Env, *kernel.Process, error) {
 	if cfg.Domains <= 0 || cfg.Iters <= 0 {
 		return nil, nil, fmt.Errorf("bad config %+v", cfg)

@@ -404,28 +404,6 @@ func plantedAttacks() []plantedAttack {
 		attackSemanticGate("gate-pan-elide", "pan-elide"),
 		attackSemanticGate("gate-ttbr-unproven", "ttbr-unproven"),
 		attackSemanticGate("gate-exit-redirect", "exit-redirect"),
-		{
-			// Point the GateTab frame's slot at the storage backing an
-			// executable page — a cross-domain frame share no page table
-			// connects, so every translation audit walks clean; only the
-			// COW frame audit can see it, and it must report the exact PA.
-			name: "cow-cross-domain-share", checker: "cow-aliasing",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				_, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				dst := lp.GateTabPA()
-				if err := env.M.PM.PlantCOWAlias(real, dst); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, uint64(dst), 0, nil
-			},
-		},
 	}
 }
 

@@ -108,21 +108,8 @@ func PrepareDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) 
 // assembles the benchmark process without running it. Callers other than
 // runDomainSwitch drive the process in trap-budget slices (Env.Run returns
 // kernel.ErrTrapBudget until the program exits) — the cross-machine
-// isolation tests interleave two machines this way. When zygote forking is
-// enabled (SetZygoteDefault) and no environment is supplied, the prepared
-// machine is a copy-on-write fork of a pooled zygote instead of a cold
-// boot — bit-identical under replay.Digest, O(dirty pages) instead of
-// O(boot).
+// isolation tests interleave two machines this way.
 func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Process, error) {
-	if env == nil && ZygoteDefault() {
-		return ForkDomainSwitch(cfg)
-	}
-	return prepareDomainSwitchCold(cfg, env)
-}
-
-// prepareDomainSwitchCold is the boot-and-assemble path (also the zygote
-// pool's first-use preparation).
-func prepareDomainSwitchCold(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Process, error) {
 	if cfg.Domains <= 0 || cfg.Iters <= 0 {
 		return nil, nil, fmt.Errorf("bad config %+v", cfg)
 	}

@@ -280,39 +280,3 @@ func hot(c *VCPU) int { return len(c.tcache.traces) }
 		t.Fatalf("trace.go must own .tcache, got %v", probs)
 	}
 }
-
-func TestCOWStateConfinedToPhysFile(t *testing.T) {
-	// Even a read of a COW refcount outside phys.go widens the audit
-	// surface of the fork soundness argument.
-	probs := lintNamed(t, "stage1.go", `package mem
-func peek(m *PhysMem) uint64 { return m.cowForks }
-`)
-	if len(probs) != 1 || !strings.Contains(probs[0], "phys.go") {
-		t.Fatalf("want one confinement violation, got %v", probs)
-	}
-	probs = lintNamed(t, "tlb.go", `package mem
-func sneak(m *PhysMem) { m.cowShares = nil; m.cowParent = nil; m.cowCopies++ }
-`)
-	if len(probs) != 3 {
-		t.Fatalf("want three confinement violations, got %v", probs)
-	}
-}
-
-func TestCOWStateAllowedInPhysFile(t *testing.T) {
-	probs := lintNamed(t, "phys.go", `package mem
-func (m *PhysMem) stats() uint64 { return m.cowForks + m.cowCopies }
-`)
-	if len(probs) != 0 {
-		t.Fatalf("phys.go must own the COW state, got %v", probs)
-	}
-}
-
-func TestCOWStateOutsideMemIgnored(t *testing.T) {
-	// Other packages may have their own unrelated fields with these names.
-	probs := lintNamed(t, "anything.go", `package workload
-func f(x *thing) int { return x.cowCopies }
-`)
-	if len(probs) != 0 {
-		t.Fatalf("non-mem COW fields must be ignored, got %v", probs)
-	}
-}

@@ -39,14 +39,6 @@
 //     soundness argument — guard coverage, invalidation chokepoints,
 //     batched-flush identity — is an audit of that single file.
 //
-//  7. copy-on-write confinement: the zygote fork's frame-share state
-//     (`.cowShares`, `.cowParent`, `.cowForks`, `.cowCopies` in package
-//     mem) is touched only by phys.go. The COW soundness argument — every
-//     mutation funnels through frameForWrite, refcounts account every
-//     holder, no frame storage ever backs two physical addresses — is an
-//     audit of that single file; a stray refcount access elsewhere would
-//     invalidate it.
-//
 // Usage: go run ./tools/lint [root]   (root defaults to ".")
 //
 // Exits non-zero and prints one line per violation. Test files are skipped:
@@ -110,11 +102,7 @@ var chargers = map[string]bool{"Charge": true, "ChargeInsns": true}
 // file per package: package -> selector -> the only file allowed to use it.
 var confined = map[string]map[string]string{
 	"mem": {
-		"entries":   "tlb.go",
-		"cowShares": "phys.go",
-		"cowParent": "phys.go",
-		"cowForks":  "phys.go",
-		"cowCopies": "phys.go",
+		"entries": "tlb.go",
 	},
 	"cpu": {
 		"mtlb":   "microtlb.go",
