@@ -40,7 +40,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
@@ -67,8 +66,6 @@ func main() {
 		noDecode = flag.Bool("nodecode", false, "disable the decoded-block cache (the seed fetch/decode pipeline); emitted rows must stay byte-identical")
 		noTrace  = flag.Bool("notrace", false, "disable the trace compiler (no superblock stitching; the PR 4 block-resident pipeline); emitted rows must stay byte-identical")
 		proofAud = flag.Bool("proofaudit", false, "cross-check every cached-block replay against its static BlockProof (the abstract-interpretation artifact); summary on stderr, nonzero exit on any divergence, stdout byte-identical")
-		hostPerf = flag.Bool("hostperf", false, "append one host-throughput row per suite (wall seconds, emulated insns/sec); off by default so the emitted rows never depend on the host")
-		benchOut = flag.String("benchout", "", "write a machine-readable per-suite host-performance summary (JSON) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a host heap profile to this file")
 		record   = flag.String("record", "", "record the run (config, nondeterministic inputs, emitted rows) into a replay journal at this path; implies -json")
@@ -88,8 +85,6 @@ func main() {
 	jsonOut = *jsonMode
 	invariants = *invar
 	backendSel = *backend
-	hostPerfOn = *hostPerf
-	benchOutPath = *benchOut
 	serveOn = *serveF
 	serveArrival = *arrivalF
 	serveRPS = *rpsF
@@ -124,9 +119,6 @@ func main() {
 		*parallel, *noFast, *noDecode, *noTrace, *record, *replayP, *chaosN, *chaosSd, *chaosOut)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
-	}
-	if err == nil && benchOutPath != "" {
-		err = writeBenchOut(benchOutPath)
 	}
 	if err == nil && serveOutPath != "" {
 		err = writeServeOut(serveOutPath)
@@ -177,9 +169,6 @@ func dispatch(table, figure int, mem, pentest, ablation, all bool, iters,
 	}
 	if chaosN > 0 {
 		return runChaos(chaosN, chaosSeed, chaosOut)
-	}
-	if (record != "" || replayPath != "") && hostPerfOn {
-		return fmt.Errorf("-hostperf rows depend on the host and cannot be recorded or replayed")
 	}
 	if replayPath != "" {
 		return runReplay(replayPath)
@@ -488,141 +477,11 @@ func run(spec runSpec) error {
 		default:
 			return fmt.Errorf("unknown suite %q", name)
 		}
-		if err := measure(name, fn); err != nil {
+		if err := fn(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// hostPerfOn appends a host-throughput row per suite; benchOutPath collects
-// the same rows into a JSON summary file. Both are host-side observability:
-// with both off, measurement output is byte-identical run to run.
-var (
-	hostPerfOn   bool
-	benchOutPath string
-	suitePerfs   []suitePerf
-)
-
-// suitePerf is one suite's host-performance summary: wall time, emulated
-// work, and how the host-side caches fared while producing it.
-type suitePerf struct {
-	Suite         string  `json:"suite"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	EmulatedInsns int64   `json:"emulated_insns"`
-	EmulatedMIPS  float64 `json:"emulated_mips"`
-	TLBHitRate    float64 `json:"tlb_hit_rate"`
-	DecodeHitRate float64 `json:"decode_hit_rate"`
-
-	// Trace-compiler counters for the suite's window: the fraction of
-	// emulated instructions retired inside stitched traces, plus the
-	// stitch/invalidation churn behind that rate.
-	TraceHitRate     float64 `json:"trace_hit_rate"`
-	TraceStitched    uint64  `json:"trace_stitched"`
-	TraceSideExits   uint64  `json:"trace_side_exits"`
-	TraceInvalidated uint64  `json:"trace_invalidated"`
-	TraceFused       uint64  `json:"trace_fused"`
-}
-
-func rate(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// measure runs one suite printer, recording wall time and the emulated-work
-// delta when -hostperf or -benchout asked for them.
-func measure(name string, fn func() error) error {
-	if !hostPerfOn && benchOutPath == "" {
-		return fn()
-	}
-	before := cpu.ReadHostPerf()
-	beforeT := cpu.ReadTraceStats()
-	start := time.Now()
-	if err := fn(); err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	d := cpu.ReadHostPerf().Sub(before)
-	dt := cpu.ReadTraceStats().Sub(beforeT)
-	sp := suitePerf{
-		Suite:         name,
-		WallSeconds:   wall,
-		EmulatedInsns: d.Insns,
-		EmulatedMIPS:  float64(d.Insns) / 1e6 / wall,
-		TLBHitRate:    rate(d.TLBHits, d.TLBMisses),
-		DecodeHitRate: rate(d.CodeHits, d.CodeMisses),
-	}
-	if d.Insns > 0 {
-		sp.TraceHitRate = float64(dt.InsnsRun) / float64(d.Insns)
-	}
-	sp.TraceStitched = dt.Stitched
-	sp.TraceSideExits = dt.SideExits
-	sp.TraceInvalidated = dt.Invalidated
-	sp.TraceFused = dt.Fused
-	suitePerfs = append(suitePerfs, sp)
-	if hostPerfOn {
-		if jsonOut {
-			return emitJSON(map[string]any{
-				"kind": "hostperf", "suite": sp.Suite, "wall_seconds": sp.WallSeconds,
-				"emulated_insns": sp.EmulatedInsns, "emulated_mips": sp.EmulatedMIPS,
-				"tlb_hit_rate": sp.TLBHitRate, "decode_hit_rate": sp.DecodeHitRate,
-				"trace_hit_rate": sp.TraceHitRate, "trace_stitched": sp.TraceStitched,
-				"trace_side_exits": sp.TraceSideExits, "trace_invalidated": sp.TraceInvalidated,
-				"trace_fused": sp.TraceFused,
-			})
-		}
-		fmt.Printf("host: %s in %.3fs — %d emulated insns, %.1f MIPS, TLB hit %.1f%%, decode hit %.1f%%, trace hit %.1f%%\n\n",
-			sp.Suite, sp.WallSeconds, sp.EmulatedInsns, sp.EmulatedMIPS,
-			100*sp.TLBHitRate, 100*sp.DecodeHitRate, 100*sp.TraceHitRate)
-	}
-	return nil
-}
-
-// writeBenchOut writes the per-suite summaries plus a total line.
-func writeBenchOut(path string) error {
-	total := suitePerf{Suite: "total"}
-	for _, sp := range suitePerfs {
-		total.WallSeconds += sp.WallSeconds
-		total.EmulatedInsns += sp.EmulatedInsns
-	}
-	if total.WallSeconds > 0 {
-		total.EmulatedMIPS = float64(total.EmulatedInsns) / 1e6 / total.WallSeconds
-	}
-	agg := cpu.ReadHostPerf()
-	total.TLBHitRate = rate(agg.TLBHits, agg.TLBMisses)
-	total.DecodeHitRate = rate(agg.CodeHits, agg.CodeMisses)
-	aggT := cpu.ReadTraceStats()
-	if agg.Insns > 0 {
-		total.TraceHitRate = float64(aggT.InsnsRun) / float64(agg.Insns)
-	}
-	total.TraceStitched = aggT.Stitched
-	total.TraceSideExits = aggT.SideExits
-	total.TraceInvalidated = aggT.Invalidated
-	total.TraceFused = aggT.Fused
-	out := struct {
-		Fastpaths   bool                     `json:"fastpaths"`
-		DecodeCache bool                     `json:"decode_cache"`
-		Traces      bool                     `json:"traces"`
-		Suites      []suitePerf              `json:"suites"`
-		Total       suitePerf                `json:"total"`
-		TraceTotals cpu.TraceStats           `json:"trace_totals"`
-		Backends    []workload.BackendMatrix `json:"backends,omitempty"`
-	}{
-		Fastpaths:   cpu.HostFastpathDefault(),
-		DecodeCache: cpu.DecodeCacheDefault(),
-		Traces:      cpu.TraceDefault(),
-		Suites:      suitePerfs,
-		Total:       total,
-		TraceTotals: aggT,
-		Backends:    backendMatrices,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // jsonOut switches every printer to line-delimited JSON.
@@ -957,9 +816,6 @@ func printVerify() error {
 // registered backend side by side. Empty (the default) skips the suite.
 var backendSel string
 
-// backendMatrices collects the measured matrices for -benchout.
-var backendMatrices []workload.BackendMatrix
-
 // Serve-harness selection (flag-fed in plain runs, journal-fed in replays)
 // and the cells collected for -serveout.
 var (
@@ -1059,7 +915,6 @@ func printBackends(iters int) error {
 		if err != nil {
 			return err
 		}
-		backendMatrices = append(backendMatrices, m)
 		if jsonOut {
 			for _, c := range m.Cells {
 				obj := map[string]any{

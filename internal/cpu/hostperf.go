@@ -4,11 +4,10 @@ import "sync/atomic"
 
 // HostPerf is a process-wide aggregate of host-observability counters:
 // every Run call adds its emulated-instruction and cache-statistic deltas
-// on return. Tools (lzbench -hostperf / -benchout) divide the instruction
-// aggregate by wall time to report host throughput — emulated instructions
-// per host second — per benchmark suite. Observation only: the counters are
-// never read back into emulation, so they are not part of the identity
-// surface.
+// on return. The benchmark (perfbench) divides the instruction aggregate
+// by wall time to report host throughput — emulated instructions per host
+// second — per workload. Observation only: the counters are never read
+// back into emulation, so they are not part of the identity surface.
 type HostPerf struct {
 	Insns      int64
 	TLBHits    int64

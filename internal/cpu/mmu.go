@@ -118,12 +118,12 @@ func (c *VCPU) Translate(va mem.VA, acc mem.AccessType, unpriv bool) (mem.PA, *A
 	tableIPA := mem.IPA(TTBRRoot(ttbr))
 	var leaf uint64
 	var leafIPA mem.IPA
-	blockShift := uint(mem.PageShift)
+	var blockShift uint
 	levels := 0
+walk:
 	for level := 0; level <= 3; level++ {
 		levels++
-		idx := s1IndexOf(va, level)
-		descPA, _, ab := c.s2Resolve(tableIPA+mem.IPA(idx*8), mem.AccessRead, false)
+		descPA, _, ab := c.s2Resolve(tableIPA+mem.IPA(mem.TableIndex(uint64(va), level)*8), mem.AccessRead, false)
 		if ab != nil {
 			ab.Syndrome.VA = va
 			c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
@@ -134,30 +134,17 @@ func (c *VCPU) Translate(va mem.VA, acc mem.AccessType, unpriv bool) (mem.PA, *A
 			c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
 			return 0, c.abort(va, 0, acc, mem.FaultAddressSize, 1)
 		}
-		if desc&mem.DescValid == 0 {
+		switch mem.ClassifyDesc(desc, level) {
+		case mem.DescKindTable:
+			tableIPA = mem.IPA(desc & mem.OAMask)
+		case mem.DescKindPage, mem.DescKindBlock:
+			leaf, blockShift = desc, mem.LevelShift(level)
+			leafIPA = mem.IPA(mem.LeafOA(desc, uint64(va), blockShift))
+			break walk
+		default:
 			c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
 			return 0, c.abort(va, 0, acc, mem.FaultTranslation, 1)
 		}
-		if level == 3 {
-			if desc&mem.DescTable == 0 {
-				c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
-				return 0, c.abort(va, 0, acc, mem.FaultTranslation, 1)
-			}
-			leaf = desc
-			leafIPA = mem.IPA(desc&mem.OAMask | uint64(va)&mem.PageMask)
-			break
-		}
-		if desc&mem.DescTable == 0 {
-			if level != 2 {
-				c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
-				return 0, c.abort(va, 0, acc, mem.FaultTranslation, 1)
-			}
-			leaf = desc
-			blockShift = mem.HugePageShift
-			leafIPA = mem.IPA(desc&mem.OAMask&^uint64(mem.HugePageMask) | uint64(va)&mem.HugePageMask)
-			break
-		}
-		tableIPA = mem.IPA(desc & mem.OAMask)
 	}
 	c.Charge(int64(levels) * c.Prof.TLBWalkPerLevel)
 
@@ -200,11 +187,6 @@ func (c *VCPU) Translate(va mem.VA, acc mem.AccessType, unpriv bool) (mem.PA, *A
 func (c *VCPU) overlayPermits(desc uint64) bool {
 	key := mem.OverlayKey(desc)
 	return key == 0 || key == int(c.sys[arm64.POREL1]&mem.OverlayKeyMax)
-}
-
-func s1IndexOf(va mem.VA, level int) uint64 {
-	shift := mem.PageShift + 9*(3-level)
-	return uint64(va) >> shift & 0x1FF
 }
 
 // MemRead performs a cycle-charged data load of size bytes (1, 2, 4, 8).

@@ -131,14 +131,7 @@ func (as *AddressSpace) RemoveVMA(start, end mem.VA) error {
 		}
 	}
 	as.vmas = kept
-	for va := start; va < end; va += mem.PageSize {
-		res, err := as.S1.Walk(va)
-		if err != nil {
-			return err
-		}
-		if !res.Found {
-			continue
-		}
+	return as.eachMapped(start, end, func(va mem.VA, res mem.WalkResult) error {
 		if _, err := as.S1.Unmap(va); err != nil {
 			return err
 		}
@@ -149,6 +142,29 @@ func (as *AddressSpace) RemoveVMA(start, end mem.VA) error {
 		if as.UnmapNotify != nil {
 			as.UnmapNotify(va)
 		}
+		return nil
+	})
+}
+
+// eachMapped calls fn for every va in [start, end), stepping by pages from
+// start, whose page the kernel-managed table maps. A walk that ends at an
+// empty descriptor skips the whole region that descriptor covers, so a
+// guest-supplied range costs what is mapped in it, not its length.
+func (as *AddressSpace) eachMapped(start, end mem.VA, fn func(mem.VA, mem.WalkResult) error) error {
+	for va := start; va < end; {
+		res, err := as.S1.Walk(va)
+		if err != nil {
+			return err
+		}
+		if !res.Found {
+			span := mem.VA(1) << mem.LevelShift(res.Level)
+			va = va&^(span-1) + span + va&mem.PageMask
+			continue
+		}
+		if err := fn(va, res); err != nil {
+			return err
+		}
+		va += mem.PageSize
 	}
 	return nil
 }

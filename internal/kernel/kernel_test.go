@@ -3,6 +3,7 @@ package kernel
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
@@ -291,6 +292,95 @@ func TestMprotectMakesPageReadOnly(t *testing.T) {
 	p := buildAndRun(t, k, a)
 	if !p.Killed || !strings.Contains(p.KillMsg, "SIGSEGV") {
 		t.Errorf("killed=%v msg=%q", p.Killed, p.KillMsg)
+	}
+}
+
+// TestHugeMunmapMprotectRanges: munmap and mprotect over ranges as large
+// as the TTBR0 half cost what is mapped in them, not their length, and a
+// range that wraps or runs past the TTBR0 half is EINVAL and changes
+// nothing. Stepping through every 4KB page of such a range stalls the host
+// for minutes, so the run gets a host-time budget.
+func TestHugeMunmapMprotectRanges(t *testing.T) {
+	const (
+		top  = uint64(1) << (mem.VABits - 1)
+		keep = uint64(0x10_0000_0000)   // survives; made read-only
+		gone = uint64(0x4000_0000_0000) // removed by the huge munmap
+		rw   = uint64(ProtRead | ProtWrite)
+	)
+	k := newTestKernel(t)
+	a := arm64.NewAsm()
+	for _, va := range []uint64{keep, gone} {
+		svc(a, SysMmap, va, mem.PageSize, rw)
+		a.MovImm(1, va)
+		a.Emit(arm64.STRImm(1, 1, 0, 3)) // fault the page in
+	}
+	calls := []struct {
+		name string
+		num  uint64
+		args []uint64
+		want int64
+	}{
+		{"munmap past the TTBR0 half", SysMunmap, []uint64{0x1000, top}, -EINVAL},
+		{"munmap wrapping", SysMunmap, []uint64{keep, ^uint64(mem.PageMask)}, -EINVAL},
+		{"mprotect past the TTBR0 half", SysMprotect, []uint64{0x1000, top, uint64(ProtRead)}, -EINVAL},
+		{"mprotect wrapping", SysMprotect, []uint64{keep, ^uint64(mem.PageMask), uint64(ProtRead)}, -EINVAL},
+		{"munmap up to the top", SysMunmap, []uint64{0x20_0000_0000, top - 0x20_0000_0000}, 0},
+		{"mprotect above the stack", SysMprotect, []uint64{0x8000_0000, top - 0x8000_0000, uint64(ProtRead)}, 0},
+	}
+	for i, c := range calls {
+		svc(a, c.num, c.args...)
+		a.Emit(arm64.MOVReg(uint8(19+i), 0))
+	}
+	svc(a, SysExit, 0)
+	words, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.CreateProcess("huge", Program{Text: words})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unmapped, protected []mem.VA
+	p.AS.UnmapNotify = func(va mem.VA) { unmapped = append(unmapped, va) }
+	p.AS.ProtNotify = func(va mem.VA) { protected = append(protected, va) }
+	done := make(chan error, 1)
+	go func() { done <- k.RunProcess(p, 100000) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("huge munmap/mprotect ranges stalled the host")
+	}
+	if p.Killed {
+		t.Fatalf("killed: %s", p.KillMsg)
+	}
+	for i, c := range calls {
+		if got := int64(k.CPU.R(uint8(19 + i))); got != c.want {
+			t.Errorf("%s: returned %d, want %d", c.name, got, c.want)
+		}
+	}
+	if len(unmapped) != 1 || unmapped[0] != mem.VA(gone) {
+		t.Errorf("unmap notifications = %v, want [%v]", unmapped, mem.VA(gone))
+	}
+	if len(protected) != 1 || protected[0] != mem.VA(keep) {
+		t.Errorf("protection notifications = %v, want [%v]", protected, mem.VA(keep))
+	}
+	if res, err := p.AS.S1.Walk(mem.VA(gone)); err != nil || res.Found || p.AS.FindVMA(mem.VA(gone)) != nil {
+		t.Errorf("%v still mapped after the huge munmap", mem.VA(gone))
+	}
+	res, err := p.AS.S1.Walk(mem.VA(keep))
+	if err != nil || !res.Found || res.Desc&mem.AttrAPRO == 0 {
+		t.Errorf("%v: walk %+v, %v; want a surviving read-only page", mem.VA(keep), res, err)
+	}
+	if v := p.AS.FindVMA(mem.VA(keep)); v == nil || v.Prot != ProtRead {
+		t.Errorf("%v: VMA %+v, want read-only", mem.VA(keep), v)
+	}
+	for _, va := range []mem.VA{TextBase, StackTop - mem.PageSize} {
+		if p.AS.FindVMA(va) == nil {
+			t.Errorf("VMA at %v lost", va)
+		}
 	}
 }
 

@@ -92,7 +92,11 @@ func (k *Kernel) DoSyscall(t *Thread, num int, args [6]uint64) (uint64, error) {
 	case SysMmap:
 		return k.sysMmap(p, args)
 	case SysMunmap:
-		if err := p.AS.RemoveVMA(mem.VA(args[0]), mem.VA(args[0]+args[1])); err != nil {
+		start, end, ok := userRange(args[0], args[1])
+		if !ok {
+			return errno(EINVAL), nil
+		}
+		if err := p.AS.RemoveVMA(start, end); err != nil {
 			return errno(EINVAL), nil
 		}
 		k.CPU.TLB.InvalidateVMID(k.CPU.CurrentVMID())
@@ -162,6 +166,16 @@ func (k *Kernel) sysMmap(p *Process, args [6]uint64) (uint64, error) {
 	return uint64(addr), nil
 }
 
+// userRange checks a guest range [start, start+length) for munmap and
+// mprotect: it must not wrap and must end inside the TTBR0 half.
+func userRange(start, length uint64) (mem.VA, mem.VA, bool) {
+	const top = 1 << (mem.VABits - 1) // TTBR0 translates [0, 2^47)
+	if start > top || length > top-start {
+		return 0, 0, false
+	}
+	return mem.VA(start), mem.VA(start + length), true
+}
+
 func (k *Kernel) findMmapGap(p *Process, length uint64) mem.VA {
 	addr := mmapBase
 	for _, v := range p.AS.VMAs() {
@@ -180,8 +194,11 @@ func (k *Kernel) findMmapGap(p *Process, length uint64) mem.VA {
 }
 
 func (k *Kernel) sysMprotect(p *Process, args [6]uint64) (uint64, error) {
-	start, length, prot := mem.VA(args[0]), mem.PageAlignUp(args[1]), Prot(args[2])
-	end := start + mem.VA(length)
+	start, _, ok := userRange(args[0], args[1])
+	if !ok {
+		return errno(EINVAL), nil
+	}
+	end, prot := start+mem.VA(mem.PageAlignUp(args[1])), Prot(args[2])
 	found := false
 	vmas := p.AS.VMAs()
 	for i := range vmas {
@@ -194,7 +211,7 @@ func (k *Kernel) sysMprotect(p *Process, args [6]uint64) (uint64, error) {
 	}
 	// Update already-mapped PTEs in the kernel-managed table, notifying
 	// LightZone so duplicated tables stay synchronized (§5.1.2).
-	for va := start; va < end; va += mem.PageSize {
+	err := p.AS.eachMapped(start, end, func(va mem.VA, _ mem.WalkResult) error {
 		changed, err := p.AS.S1.UpdateLeaf(va, func(d uint64) uint64 {
 			d &^= mem.AttrAPRO | mem.AttrUXN
 			if prot&ProtWrite == 0 {
@@ -205,12 +222,13 @@ func (k *Kernel) sysMprotect(p *Process, args [6]uint64) (uint64, error) {
 			}
 			return d
 		})
-		if err != nil {
-			return errno(EFAULT), nil
-		}
 		if changed && p.AS.ProtNotify != nil {
 			p.AS.ProtNotify(va)
 		}
+		return err
+	})
+	if err != nil {
+		return errno(EFAULT), nil
 	}
 	// The VMA records the new protection for future demand mappings.
 	p.AS.SetProt(start, end, prot)

@@ -56,18 +56,6 @@ func ValidVA(va VA) bool {
 	return top == 0 || top == 0xFFFF
 }
 
-// stage-1 table index extraction; level 0 is the root.
-func s1Index(va VA, level int) uint64 {
-	shift := PageShift + 9*(3-level)
-	return uint64(va) >> shift & 0x1FF
-}
-
-// stage-2 table index extraction; level 1 is the (concatenated) root.
-func s2Index(ipa IPA, level int) uint64 {
-	shift := PageShift + 9*(3-level)
-	return uint64(ipa) >> shift & 0x1FF
-}
-
 func (v VA) String() string  { return fmt.Sprintf("VA(%#x)", uint64(v)) }
 func (i IPA) String() string { return fmt.Sprintf("IPA(%#x)", uint64(i)) }
 func (p PA) String() string  { return fmt.Sprintf("PA(%#x)", uint64(p)) }

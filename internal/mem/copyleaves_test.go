@@ -221,7 +221,7 @@ func TestCopyLeavesMatchesPerLeafCopy(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 		for _, va := range bare {
-			if slot, err := got.dst.leafAddr(va); err != nil || slot != 0 {
+			if res, err := got.dst.Walk(va); err != nil || res.Found || res.Level == 3 {
 				t.Errorf("seed %d: leaf table allocated for %v, which has no leaf to copy", seed, va)
 			}
 		}

@@ -1,5 +1,7 @@
 package mem
 
+import "strconv"
+
 // Stage-1 descriptor bits (simplified ARMv8 long-descriptor format; the bit
 // positions follow the architecture so PTE dumps read naturally).
 const (
@@ -130,30 +132,8 @@ type Fault struct {
 }
 
 func (f *Fault) Error() string {
-	return "stage-" + itoa(f.Stage) + " " + f.Kind.String() + " fault on " +
-		f.Access.String() + " at " + f.VA.String() + " (level " + itoa(f.Level) + ")"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return "stage-" + strconv.Itoa(f.Stage) + " " + f.Kind.String() + " fault on " +
+		f.Access.String() + " at " + f.VA.String() + " (level " + strconv.Itoa(f.Level) + ")"
 }
 
 // CheckStage1 validates a stage-1 leaf descriptor against an access

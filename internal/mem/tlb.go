@@ -375,10 +375,7 @@ func (t *TLB) Len() int { return len(t.entries) }
 func (t *TLB) Visit(fn func(vmid, asid uint16, global bool, va VA, e TLBEntry) bool) {
 	for _, k := range t.order {
 		c := t.ctxList[k>>tlbPageBits]
-		va := VA((k & tlbPageMask) << PageShift)
-		if va&(1<<(VABits-1)) != 0 {
-			va |= ^(VA(1)<<VABits - 1)
-		}
+		va := VA(canonical((k & tlbPageMask) << PageShift))
 		if !fn(c.vmid, c.asid, c.global, va, t.entries[k]) {
 			return
 		}

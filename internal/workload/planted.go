@@ -81,10 +81,11 @@ func plantedExecPage(lp *core.LZProc) (mem.VA, mem.PA, error) {
 // plantedCFGMachine assembles a SanNone process whose text contains a TLBI
 // and a raw TTBR0_EL1 write hidden behind a branch that is always taken at
 // run time, plus a TLBI-encoded data word behind an unconditional back-edge
-// (a literal pool). The process runs to completion untrapped — only the CFG
-// checker, which walks static reachability rather than executed paths, can
-// tell the first two from the third.
-func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
+// (a literal pool), and runs it under the named isolation backend. The
+// process runs to completion untrapped — only the CFG checker, which walks
+// static reachability rather than executed paths, can tell the first two
+// from the third.
+func plantedCFGMachine(plat Platform, backend string) (*Env, map[string]uint64, error) {
 	a := arm64.NewAsm()
 	svcCall(a, core.SysLZEnter, 0, uint64(core.SanNone))
 	a.MovImm(0, 0)
@@ -99,7 +100,7 @@ func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
 	a.Label("pool")
 	a.Emit(arm64.TLBIVMALLE1()) // same encoding as a data word: must not be flagged
 
-	env, err := NewEnv(plat)
+	env, err := NewEnvBackend(plat, backend)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,29 +263,7 @@ func attackSemanticGate(name, variant string) plantedAttack {
 // model, each paired with the checker that must catch it.
 func plantedAttacks() []plantedAttack {
 	return []plantedAttack{
-		{
-			// Flip a sanitizer-admitted executable page writable, as a
-			// kernel-write primitive would after admission.
-			name: "wx-flip", checker: "wx-audit",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, _, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				d0, _ := lp.PageTable(0)
-				found, err := d0.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d &^ (mem.AttrPXN | mem.AttrAPRO)
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("flip leaf %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
+		attackWXFlip("lightzone"),
 		{
 			// Redirect gate 0's registered entry point in the GateTab.
 			name: "gatetab-tamper", checker: "gate-integrity",
@@ -302,54 +281,9 @@ func plantedAttacks() []plantedAttack {
 				return env, core.GateTabBase(), 0, nil
 			},
 		},
-		{
-			// Smuggle a sensitive word into an already-admitted executable
-			// page by writing the frame directly (a DMA-style store the
-			// emulated W-xor-X fault path never sees).
-			name: "smuggled-word", checker: "sanitizer-sweep",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				const off = 0x40
-				var buf [4]byte
-				binary.LittleEndian.PutUint32(buf[:], arm64.TLBIVMALLE1())
-				if err := env.M.PM.Write(real+off, buf[:]); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, uint64(va) + off, 0, nil
-			},
-		},
-		{
-			// Raw TTBR0_EL1 write outside a gate, hidden from execution but
-			// not from the CFG.
-			name: "ttbr0-write-outside-gate", checker: "cfg-reachability",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, labels, err := plantedCFGMachine(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return env, labels["msr"], labels["pool"], nil
-			},
-		},
-		{
-			// Reachable-but-never-executed TLBI under the SanNone ablation:
-			// the sweep is off, only the CFG checker can see it — and it must
-			// still leave the identical word in the literal pool alone.
-			name: "reachable-tlbi", checker: "cfg-reachability",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, labels, err := plantedCFGMachine(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return env, labels["tlbi"], labels["pool"], nil
-			},
-		},
+		attackSmuggledWord("lightzone"),
+		attackTTBR0Write("lightzone"),
+		attackReachableTLBI("lightzone"),
 		{
 			// Overwrite the first instruction of gate 0's code slot.
 			name: "gate-code-tamper", checker: "gate-integrity",
@@ -375,32 +309,7 @@ func plantedAttacks() []plantedAttack {
 				return env, slotVA, 0, nil
 			},
 		},
-		{
-			// Forge a TLB entry whose output frame differs from what the
-			// page tables derive — a TOCTTOU-style stale translation.
-			name: "tlb-tamper", checker: "cache-coherence",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				d0, _ := lp.PageTable(0)
-				res, err := d0.S1.Walk(va)
-				if err != nil || !res.Found {
-					return nil, 0, 0, fmt.Errorf("walk %v: %v", va, err)
-				}
-				env.M.CPU.TLB.Insert(lp.VM().VMID, 0, va, mem.TLBEntry{
-					PABase:     real + mem.PageSize, // wrong frame
-					S1Desc:     res.Desc,
-					BlockShift: mem.PageShift,
-				})
-				return env, uint64(va), 0, nil
-			},
-		},
+		attackTLBTamper("lightzone"),
 		attackSemanticGate("gate-pan-elide", "pan-elide"),
 		attackSemanticGate("gate-ttbr-unproven", "ttbr-unproven"),
 		attackSemanticGate("gate-exit-redirect", "exit-redirect"),

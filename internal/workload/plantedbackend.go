@@ -39,52 +39,11 @@ func plantedCleanBackend(plat Platform, backend string) (*Env, *core.LZProc, err
 	return env, procs[0], nil
 }
 
-// plantedCFGMachineBackend is plantedCFGMachine on a backend environment:
-// the same always-skipped attack body and literal-pool control, entered
-// under the named isolation backend.
-func plantedCFGMachineBackend(plat Platform, backend string) (*Env, map[string]uint64, error) {
-	a := arm64.NewAsm()
-	svcCall(a, core.SysLZEnter, 0, uint64(core.SanNone))
-	a.MovImm(0, 0)
-	a.CBZ(0, "clean")
-	a.Label("tlbi")
-	a.Emit(arm64.TLBIVMALLE1())
-	a.Label("msr")
-	a.Emit(arm64.MSR(arm64.TTBR0EL1, 9))
-	a.Label("clean")
-	hvcCall(a, kernel.SysExit, 0)
-	a.B("clean")
-	a.Label("pool")
-	a.Emit(arm64.TLBIVMALLE1())
-
-	env, err := NewEnvBackend(plat, backend)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := env.NewProcess("planted-cfg", a, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := env.Run(p, 100_000); err != nil {
-		return nil, nil, err
-	}
-	if p.Killed {
-		return nil, nil, fmt.Errorf("planted CFG process was killed dynamically: %s", p.KillMsg)
-	}
-	labels := make(map[string]uint64)
-	for _, l := range []string{"tlbi", "msr", "pool"} {
-		off, err := a.Offset(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		labels[l] = uint64(kernel.TextBase) + uint64(off)
-	}
-	return env, labels, nil
-}
-
 // Substrate-invariant attacks, parameterized by the backend whose clean
 // machine they are planted on.
 
+// attackWXFlip flips a sanitizer-admitted executable page writable, as a
+// kernel-write primitive would after admission.
 func attackWXFlip(backend string) plantedAttack {
 	return plantedAttack{
 		name: "wx-flip", checker: "wx-audit",
@@ -109,6 +68,9 @@ func attackWXFlip(backend string) plantedAttack {
 	}
 }
 
+// attackSmuggledWord smuggles a sensitive word into an already-admitted
+// executable page by writing the frame directly (a DMA-style store the
+// emulated W-xor-X fault path never sees).
 func attackSmuggledWord(backend string) plantedAttack {
 	return plantedAttack{
 		name: "smuggled-word", checker: "sanitizer-sweep",
@@ -132,6 +94,8 @@ func attackSmuggledWord(backend string) plantedAttack {
 	}
 }
 
+// attackTLBTamper forges a TLB entry whose output frame differs from what
+// the page tables derive — a TOCTTOU-style stale translation.
 func attackTLBTamper(backend string) plantedAttack {
 	return plantedAttack{
 		name: "tlb-tamper", checker: "cache-coherence",
@@ -159,11 +123,14 @@ func attackTLBTamper(backend string) plantedAttack {
 	}
 }
 
+// attackReachableTLBI plants a reachable-but-never-executed TLBI under the
+// SanNone ablation: the sweep is off, only the CFG checker can see it — and
+// it must still leave the identical word in the literal pool alone.
 func attackReachableTLBI(backend string) plantedAttack {
 	return plantedAttack{
 		name: "reachable-tlbi", checker: "cfg-reachability",
 		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, labels, err := plantedCFGMachineBackend(plat, backend)
+			env, labels, err := plantedCFGMachine(plat, backend)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -172,14 +139,20 @@ func attackReachableTLBI(backend string) plantedAttack {
 	}
 }
 
+// attackTTBR0Write hides a raw TTBR0_EL1 write from execution but not from
+// the CFG. Under lightzone, gates write TTBR0 legally, so the cell is named
+// for the write outside a gate; under overlay and granule there is no gate
+// for a TTBR0 write to be legal in, and still only the CFG can see the
+// never-executed instance.
 func attackTTBR0Write(backend string) plantedAttack {
+	name := "ttbr0-write"
+	if backend == "lightzone" {
+		name = "ttbr0-write-outside-gate"
+	}
 	return plantedAttack{
-		// Under overlay and granule there is no gate for a TTBR0 write to
-		// be legal in: the raw write is forbidden everywhere, and still
-		// only the CFG can see the never-executed instance.
-		name: "ttbr0-write", checker: "cfg-reachability",
+		name: name, checker: "cfg-reachability",
 		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, labels, err := plantedCFGMachineBackend(plat, backend)
+			env, labels, err := plantedCFGMachine(plat, backend)
 			if err != nil {
 				return nil, 0, 0, err
 			}
