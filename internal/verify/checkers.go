@@ -161,11 +161,11 @@ func checkSanitizer(s *Snapshot) []Finding {
 		seen := make(map[pidVA]bool)
 		for _, d := range p.Domains {
 			for _, m := range d.Maps {
-				if !m.Exec() || !m.HasReal || mem.IsTTBR1(m.VA) {
+				if !appExec(m) {
 					continue
 				}
-				data := make([]byte, m.Size)
-				if err := s.M.PM.Read(m.Real, data); err != nil {
+				hits, err := s.memo.sanitize(s, m, p.Policy)
+				if err != nil {
 					out = append(out, Finding{
 						Checker: "sanitizer-sweep", PID: p.PID, Proc: p.Name, Domain: d.ID,
 						VA: uint64(m.VA), PA: uint64(m.Real),
@@ -173,23 +173,55 @@ func checkSanitizer(s *Snapshot) []Finding {
 					})
 					continue
 				}
-				for _, v := range core.SanitizeAll(data, p.Policy) {
-					va := m.VA + mem.VA(v.Offset)
+				for _, f := range hits {
+					va := m.VA + mem.VA(f.VA)
 					if seen[pidVA{p.PID, va}] {
 						continue
 					}
 					seen[pidVA{p.PID, va}] = true
-					out = append(out, Finding{
-						Checker: "sanitizer-sweep", PID: p.PID, Proc: p.Name, Domain: d.ID,
-						VA: uint64(va), PA: uint64(m.Real) + uint64(v.Offset),
-						Word: v.Word, Disasm: arm64.Disassemble(v.Word),
-						Detail: fmt.Sprintf("sensitive instruction in executable page: %s", v.Reason),
-					})
+					f.Checker, f.PID, f.Proc, f.Domain = "sanitizer-sweep", p.PID, p.Name, d.ID
+					f.VA, f.PA = uint64(va), uint64(m.Real)+f.PA
+					out = append(out, f)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// appExec reports whether a domain mapping is application code the
+// sanitizer and the CFG audit: kernel-executable, backed by a real frame,
+// and outside the TTBR1 half.
+func appExec(m Mapping) bool { return m.Exec() && m.HasReal && !mem.IsTTBR1(m.VA) }
+
+// sanitize returns the Table 3 violations in one executable mapping as
+// finding templates whose VA and PA hold the byte offset into the mapping.
+// The result is memoised per (policy, bytes); an unreadable mapping is
+// never cached.
+func (mo *Memo) sanitize(s *Snapshot, m Mapping, pol core.SanPolicy) ([]Finding, error) {
+	fs := mo.frameSum(s, m)
+	if fs.err != nil {
+		return nil, fs.err
+	}
+	k := sanKey{policy: pol, sum: fs.sum}
+	if hits, ok := mo.san.get(k); ok {
+		return hits, nil
+	}
+	data, err := mo.read(s, m)
+	if err != nil {
+		return nil, err
+	}
+	mo.sanSweeps++
+	var hits []Finding
+	for _, v := range core.SanitizeAll(data, pol) {
+		hits = append(hits, Finding{
+			VA: uint64(v.Offset), PA: uint64(v.Offset),
+			Word: v.Word, Disasm: arm64.Disassemble(v.Word),
+			Detail: fmt.Sprintf("sensitive instruction in executable page: %s", v.Reason),
+		})
+	}
+	mo.san.put(k, hits)
+	return hits, nil
 }
 
 // checkGates verifies every registered call-gate slot structurally: branches
@@ -371,63 +403,107 @@ func checkCFG(s *Snapshot) []Finding {
 			pol = core.SanTTBR
 		}
 		seen := make(map[pidVA]bool)
-		for _, d := range p.Domains {
-			var segs []arm64.CFGSegment
-			for _, m := range d.Maps {
-				if !m.Exec() || !m.HasReal || mem.IsTTBR1(m.VA) {
+		for di := range p.Domains {
+			d := &p.Domains[di]
+			for _, f := range s.memo.cfgFlags(s, p, d, pol) {
+				key := pidVA{p.PID, mem.VA(f.VA)}
+				if seen[key] {
 					continue
 				}
-				data := make([]byte, m.Size)
-				if err := s.M.PM.Read(m.Real, data); err != nil {
-					continue // unreadable exec page already reported by the sweep
-				}
-				segs = append(segs, arm64.CFGSegment{Base: uint64(m.VA), Words: arm64.BytesToWords(data)})
-			}
-			if len(segs) == 0 {
-				continue
-			}
-			entries := []uint64{uint64(kernel.TextBase)}
-			for _, g := range p.Gates {
-				if g.PGTID == d.ID {
-					entries = append(entries, g.Entry)
-				}
-			}
-			cfg := arm64.BuildCFG(segs, entries)
-			cfg.VisitReachable(func(addr uint64, word uint32, in arm64.Insn) bool {
-				key := pidVA{p.PID, mem.VA(addr)}
-				if seen[key] {
-					return true
-				}
-				detail := ""
-				switch {
-				case core.CheckWord(word, pol) != "":
-					detail = fmt.Sprintf("reachable sensitive instruction: %s", core.CheckWord(word, pol))
-				case in.Op == arm64.OpHVC && in.Imm != core.HVCSyscall &&
-					!(p.Backend == "granule" && in.Imm == core.HVCGranuleEnter):
-					// The realm-enter call is part of the granule backend's
-					// API surface; under every other backend it is as foreign
-					// as any unknown hypercall.
-					detail = fmt.Sprintf("reachable HVC #%#x is not the syscall API", in.Imm)
-				case in.Op == arm64.OpUnknown && word != 0:
-					// Zero words are text padding reached by fall-through past
-					// the last instruction; they are architecturally undefined
-					// and fault closed, so only non-zero undecodable words are
-					// suspicious.
-					detail = "reachable undecodable word"
-				default:
-					return true
-				}
 				seen[key] = true
-				out = append(out, Finding{
-					Checker: "cfg-reachability", PID: p.PID, Proc: p.Name, Domain: d.ID,
-					VA: addr, Word: word, Disasm: arm64.Disassemble(word),
-					Detail: detail,
-				})
-				return true
-			})
+				f.Checker, f.PID, f.Proc, f.Domain = "cfg-reachability", p.PID, p.Name, d.ID
+				out = append(out, f)
+			}
 		}
 	}
 	return out
+}
+
+// cfgFlags returns one domain's flagged reachable words in ascending address
+// order as finding templates (Checker, PID, Proc and Domain are stamped by
+// the caller, after the per-process dedup). The result is memoised per
+// domain content: the policy, the backend, every executable mapping's VA,
+// size and bytes, and the entry list. A domain with an unreadable
+// executable page (already reported by the sweep, skipped here) is never
+// cached.
+func (mo *Memo) cfgFlags(s *Snapshot, p *ProcSnap, d *DomainSnap, pol core.SanPolicy) []Finding {
+	entries := []uint64{uint64(kernel.TextBase)}
+	for _, g := range p.Gates {
+		if g.PGTID == d.ID {
+			entries = append(entries, g.Entry)
+		}
+	}
+	h := mo.hash()
+	hashU64(h, uint64(pol))
+	hashString(h, p.Backend)
+	cacheable := true
+	for _, m := range d.Maps {
+		if !appExec(m) {
+			continue
+		}
+		fs := mo.frameSum(s, m)
+		if fs.err != nil {
+			cacheable = false
+			continue
+		}
+		hashU64(h, uint64(m.VA))
+		hashU64(h, m.Size)
+		hashU64(h, fs.sum)
+	}
+	hashU64(h, ^uint64(0)) // no mapping has this VA: ends the mapping list
+	hashU64(h, uint64(len(entries)))
+	for _, e := range entries {
+		hashU64(h, e)
+	}
+	key := h.Sum64()
+	if cacheable {
+		if flags, ok := mo.cfg.get(key); ok {
+			return flags
+		}
+	}
+
+	mo.cfgBuilds++
+	var segs []arm64.CFGSegment
+	for _, m := range d.Maps {
+		if !appExec(m) {
+			continue
+		}
+		data, err := mo.read(s, m)
+		if err != nil {
+			continue
+		}
+		segs = append(segs, arm64.CFGSegment{Base: uint64(m.VA), Words: arm64.BytesToWords(data)})
+	}
+	var flags []Finding
+	if len(segs) > 0 {
+		arm64.BuildCFG(segs, entries).VisitReachable(func(addr uint64, word uint32, in arm64.Insn) bool {
+			detail := ""
+			switch {
+			case core.CheckWord(word, pol) != "":
+				detail = fmt.Sprintf("reachable sensitive instruction: %s", core.CheckWord(word, pol))
+			case in.Op == arm64.OpHVC && in.Imm != core.HVCSyscall &&
+				!(p.Backend == "granule" && in.Imm == core.HVCGranuleEnter):
+				// The realm-enter call is part of the granule backend's
+				// API surface; under every other backend it is as foreign
+				// as any unknown hypercall.
+				detail = fmt.Sprintf("reachable HVC #%#x is not the syscall API", in.Imm)
+			case in.Op == arm64.OpUnknown && word != 0:
+				// Zero words are text padding reached by fall-through past
+				// the last instruction; they are architecturally undefined
+				// and fault closed, so only non-zero undecodable words are
+				// suspicious.
+				detail = "reachable undecodable word"
+			default:
+				return true
+			}
+			flags = append(flags, Finding{VA: addr, Word: word, Disasm: arm64.Disassemble(word), Detail: detail})
+			return true
+		})
+	}
+	if cacheable {
+		mo.cfg.put(key, flags)
+	}
+	return flags
 }
 
 // checkCaches proves the translation and decode caches coherent: every TLB

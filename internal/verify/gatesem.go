@@ -1,10 +1,7 @@
 package verify
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
-	"sync"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/arm64/absint"
@@ -58,7 +55,7 @@ func checkGateSemantics(s *Snapshot) []Finding {
 
 // gateSemantics proves one gate slot, returning finding templates (Checker,
 // PID, Proc and Domain are stamped by the caller — templates must stay
-// process-agnostic so the content memo can share them).
+// process-agnostic so the memo can share them).
 func gateSemantics(s *Snapshot, p *ProcSnap, g core.GateInfo, domains map[int]*DomainSnap) []Finding {
 	slotVA := core.GateCodeBase() + uint64(g.ID)*core.GateSlotLen
 	slotPA, ok := ttbr1Real(p, slotVA)
@@ -86,17 +83,90 @@ func gateSemantics(s *Snapshot, p *ProcSnap, g core.GateInfo, domains map[int]*D
 	if d, ok := domains[g.PGTID]; ok {
 		want, haveDomain = d.TTBR, true
 	}
+	o := &gateOracle{
+		s: s, p: p,
+		gateTabLo: core.GateTabBase() + uint64(g.ID)*16,
+		ttbrTabLo: core.TTBRTabBase(),
+		ttbrTabHi: core.TTBRTabBase() + uint64(len(p.TTBRTabPAs))*mem.PageSize,
+	}
+	return s.memo.proveGate(o, g, slotVA, words[:extent], extent == len(words), want, haveDomain)
+}
 
-	key, haveKey := gatesemKey(s, p, g, slotVA, words[:extent], want, haveDomain)
-	if haveKey {
-		if cached, ok := gatesemLookup(key); ok {
-			return cached
+// gateProof is one memoised gate proof: its finding templates and every
+// oracle query the exploration made, with the answer it got.
+type gateProof struct {
+	reads    []oracleRead
+	findings []Finding
+}
+
+type oracleRead struct {
+	va   uint64
+	size int
+	v    uint64
+	ok   bool
+}
+
+// holds reports whether every recorded oracle query, asked again through o,
+// gets the answer the proof saw. Explore is deterministic, so with the other
+// inputs equal (the cache key) it then asks the same queries in the same
+// order and builds the same proof.
+func (pr *gateProof) holds(o absint.MemOracle) bool {
+	for _, rd := range pr.reads {
+		if v, ok := o.ReadConst(rd.va, rd.size); v != rd.v || ok != rd.ok {
+			return false
 		}
 	}
-	fs := proveGateSlot(s, p, g, slotVA, words[:extent], extent == len(words), want, haveDomain)
-	if haveKey {
-		gatesemStore(key, fs)
+	return true
+}
+
+// recordingOracle passes queries through to the gate's oracle and records
+// each distinct one with its answer.
+type recordingOracle struct {
+	o     absint.MemOracle
+	reads []oracleRead
+}
+
+func (r *recordingOracle) ReadConst(va uint64, size int) (uint64, bool) {
+	v, ok := r.o.ReadConst(va, size)
+	for _, rd := range r.reads {
+		if rd.va == va && rd.size == size {
+			return v, ok
+		}
 	}
+	r.reads = append(r.reads, oracleRead{va: va, size: size, v: v, ok: ok})
+	return v, ok
+}
+
+// proveGate returns the proof of one gate slot, reusing the memoised proof
+// when every input except the oracle's answers is equal (the key: slot
+// address and trimmed words, full-slot flag, gate registration, expected
+// table, and the oracle's GateTab/TTBRTab windows) and the recorded oracle
+// queries still get the same answers.
+func (mo *Memo) proveGate(o *gateOracle, g core.GateInfo, slotVA uint64,
+	words []uint32, fullSlot bool, want uint64, haveDomain bool) []Finding {
+	h := mo.hash()
+	hashU64(h, slotVA)
+	hashU64(h, uint64(len(words)))
+	for _, w := range words {
+		hashU64(h, uint64(w))
+	}
+	hashBool(h, fullSlot)
+	hashU64(h, uint64(g.ID))
+	hashU64(h, g.Entry)
+	hashU64(h, uint64(g.PGTID))
+	hashU64(h, want)
+	hashBool(h, haveDomain)
+	hashU64(h, o.gateTabLo)
+	hashU64(h, o.ttbrTabLo)
+	hashU64(h, o.ttbrTabHi)
+	key := h.Sum64()
+	if pr, ok := mo.gates.get(key); ok && pr.holds(o) {
+		return pr.findings
+	}
+	mo.gateProofs++
+	rec := &recordingOracle{o: o}
+	fs := proveGateSlot(rec, g, slotVA, words, fullSlot, want, haveDomain)
+	mo.gates.put(key, &gateProof{reads: rec.reads, findings: fs})
 	return fs
 }
 
@@ -104,20 +174,14 @@ func gateSemantics(s *Snapshot, p *ProcSnap, g core.GateInfo, domains map[int]*D
 // applies the per-path rules. Findings are deduplicated on (VA, Detail):
 // most violations are reachable from many entries but have one culprit
 // instruction.
-func proveGateSlot(s *Snapshot, p *ProcSnap, g core.GateInfo, slotVA uint64,
+func proveGateSlot(oracle absint.MemOracle, g core.GateInfo, slotVA uint64,
 	words []uint32, fullSlot bool, want uint64, haveDomain bool) []Finding {
 	insns := make([]arm64.Insn, len(words))
 	for i, w := range words {
 		insns[i] = arm64.Decode(w)
 	}
 	rg := absint.Region{Base: slotVA, Insns: insns, Raw: words}
-	cfg := absint.Config{Oracle: &gateOracle{
-		s: s, p: p,
-		gateTabLo: core.GateTabBase() + uint64(g.ID)*16,
-		ttbrTabLo: core.TTBRTabBase(),
-		ttbrTabHi: core.TTBRTabBase() + uint64(len(p.TTBRTabPAs))*mem.PageSize,
-	}}
-
+	cfg := absint.Config{Oracle: oracle}
 	var fs []Finding
 	type vaDetail struct {
 		va     uint64
@@ -227,7 +291,8 @@ func checkGatePAN(pt *absint.Path, emit func(uint64, string)) {
 // and the TTBRTab, and only while the backing TTBR1 mapping is read-only and
 // non-user — the preconditions under which those bytes are immutable to the
 // process and the loaded constants deserve trust. Restricting the domain
-// also makes the proof a pure function of hashable inputs (the memo).
+// also keeps a proof's oracle reads few (the gate's GateTab entry and one
+// TTBRTab slot), which is what lets the memo revalidate a proof cheaply.
 type gateOracle struct {
 	s         *Snapshot
 	p         *ProcSnap
@@ -267,107 +332,4 @@ func readTTBR1RO(s *Snapshot, p *ProcSnap, va uint64) (uint64, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// The gate-semantics memo. The chokepoint observer re-verifies the machine
-// after every security mutation; a gate proof is a pure function of the slot
-// words, the oracle-visible bytes (GateTab entry + TTBRTab), the gate
-// registration and the expected table base, so identical inputs can return
-// the cached finding templates verbatim. Unlike the Memo type this cache is
-// content-addressed and global: every process with an identical gate shares
-// one proof.
-var (
-	gatesemMu    sync.Mutex
-	gatesemSeed  = maphash.MakeSeed()
-	gatesemCache = make(map[uint64][]Finding)
-)
-
-// gatesemCacheMax bounds the cache; churn workloads register thousands of
-// distinct gates over a run and the templates are small, so a flush (rather
-// than eviction bookkeeping) keeps the fast path trivial.
-const gatesemCacheMax = 4096
-
-// gatesemKey hashes every input the proof reads. ok=false (no caching) when
-// an oracle-visible byte is unreadable — error findings are then recomputed.
-func gatesemKey(s *Snapshot, p *ProcSnap, g core.GateInfo, slotVA uint64,
-	words []uint32, want uint64, haveDomain bool) (uint64, bool) {
-	var h maphash.Hash
-	h.SetSeed(gatesemSeed)
-	var b [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	u64(slotVA)
-	u64(uint64(len(words)))
-	for _, w := range words {
-		u64(uint64(w))
-	}
-	u64(uint64(g.ID))
-	u64(g.Entry)
-	u64(uint64(g.PGTID))
-	u64(want)
-	if haveDomain {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	// Oracle-visible memory: the gate's GateTab entry and the whole TTBRTab
-	// (the gate may index any slot). Read through the same attribute-checked
-	// path the oracle uses, so a mapping flipped writable changes the key
-	// (the read fails and caching is skipped).
-	gtBase := core.GateTabBase() + uint64(g.ID)*16
-	for off := uint64(0); off < 16; off += 8 {
-		v, ok := readTTBR1RO(s, p, gtBase+off)
-		if !ok {
-			return 0, false
-		}
-		u64(v)
-	}
-	ttBase := core.TTBRTabBase()
-	for pg := 0; pg < len(p.TTBRTabPAs); pg++ {
-		buf, ok := readTTBR1ROPage(s, p, ttBase+uint64(pg)*mem.PageSize)
-		if !ok {
-			return 0, false
-		}
-		h.Write(buf)
-	}
-	return h.Sum64(), true
-}
-
-// readTTBR1ROPage reads one whole page behind a TTBR1 VA under the same
-// read-only, kernel-only preconditions as readTTBR1RO.
-func readTTBR1ROPage(s *Snapshot, p *ProcSnap, va uint64) ([]byte, bool) {
-	res, err := p.TTBR1Table().Walk(mem.VA(va))
-	if err != nil || !res.Found {
-		return nil, false
-	}
-	if res.Desc&mem.AttrAPRO == 0 || res.Desc&mem.AttrAPUser != 0 {
-		return nil, false
-	}
-	real, ok := p.RealOf(mem.IPA(res.Desc & mem.OAMask))
-	if !ok {
-		return nil, false
-	}
-	buf := make([]byte, mem.PageSize)
-	if err := s.M.PM.Read(real, buf); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-func gatesemLookup(key uint64) ([]Finding, bool) {
-	gatesemMu.Lock()
-	defer gatesemMu.Unlock()
-	fs, ok := gatesemCache[key]
-	return fs, ok
-}
-
-func gatesemStore(key uint64, fs []Finding) {
-	gatesemMu.Lock()
-	defer gatesemMu.Unlock()
-	if len(gatesemCache) >= gatesemCacheMax {
-		gatesemCache = make(map[uint64][]Finding)
-	}
-	gatesemCache[key] = fs
 }

@@ -87,6 +87,10 @@ type Snapshot struct {
 	M     *hyp.Machine
 	LZ    *core.LightZone
 	Procs []ProcSnap
+
+	// memo is the caller's checker memo, installed by RunMemo for the
+	// duration of one run; checkers run only through RunMemo.
+	memo *Memo
 }
 
 // BackendName returns the isolation substrate the snapshot's processes run

@@ -132,12 +132,14 @@ type Report struct {
 // Clean reports whether no checker produced findings.
 func (r Report) Clean() bool { return len(r.Findings) == 0 }
 
-// Run executes every registered checker against the snapshot.
-func Run(s *Snapshot) Report { return RunMemo(s, nil) }
+// Run executes every registered checker against the snapshot with a fresh
+// memo.
+func Run(s *Snapshot) Report { return RunMemo(s, NewMemo()) }
 
-// RunMachine captures a snapshot of (m, lz) and runs the registry.
+// RunMachine captures a snapshot of (m, lz) and runs the registry with a
+// fresh memo.
 func RunMachine(m *hyp.Machine, lz *core.LightZone) (Report, error) {
-	return RunMachineMemo(m, lz, nil)
+	return RunMachineMemo(m, lz, NewMemo())
 }
 
 // RunMachineMemo is RunMachine with a checker memo for repeated

@@ -19,15 +19,20 @@ type InvariantMonitor struct {
 	// Runs counts verifier executions; Findings sums their findings.
 	Runs     int
 	Findings int
-	// Last is the most recent report (useful when Findings > 0).
+	// First is the first report with findings. A finding can be gone again
+	// by the next chokepoint (a tamper reverted in between), so Last alone
+	// cannot tell a clean run from a dirty one.
+	First verify.Report
+	// Last is the most recent report.
 	Last verify.Report
 	// Err records the first capture failure (a simulator bug, not a
 	// security finding).
 	Err error
 
-	// memo caches the content-keyed checkers (sanitizer sweep, CFG) across
-	// chokepoints whose executable content did not change; memoised reports
-	// are byte-identical to fresh ones.
+	// memo is this machine's verifier memo: it carries the per-domain CFG,
+	// per-page sanitizer and per-gate proof results from one chokepoint to
+	// the next, so each run re-proves only what the mutation changed.
+	// Memoised reports are byte-identical to fresh ones.
 	memo *verify.Memo
 }
 
@@ -49,6 +54,9 @@ func (e *Env) EnableInvariants() *InvariantMonitor {
 		}
 		mon.Runs++
 		mon.Findings += len(rep.Findings)
+		if mon.First.Clean() {
+			mon.First = rep
+		}
 		mon.Last = rep
 		e.LZ.Trace.Record(e.M.CPU.Cycles, trace.KindInvariant, lp.PID(),
 			"%s: %d checkers, %d findings", event, len(rep.Checkers), len(rep.Findings))
@@ -94,24 +102,10 @@ func VerifyProbe(plat Platform) (VerifyResult, *trace.Recorder, error) {
 		return VerifyResult{}, nil, err
 	}
 	rec := env.EnableTrace(4096)
-	mon := env.EnableInvariants()
 	cfg := DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 8, Iters: 200, Seed: Table5Seed}
-	if _, _, err := runDomainSwitch(cfg, env); err != nil {
-		return VerifyResult{}, nil, err
-	}
-	if mon.Err != nil {
-		return VerifyResult{}, nil, mon.Err
-	}
-	final, err := verify.RunMachine(env.M, env.LZ)
+	res, err := verifyCell("ttbr-8", cfg, env.EnableInvariants())
 	if err != nil {
 		return VerifyResult{}, nil, err
-	}
-	res := VerifyResult{
-		Name:          "ttbr-8",
-		Machine:       final.Machine,
-		InvariantRuns: mon.Runs,
-		Findings:      mon.Findings + len(final.Findings),
-		Final:         final,
 	}
 	return res, rec, nil
 }
@@ -130,37 +124,46 @@ func (f *Fleet) VerifySweep(plat Platform) ([]VerifyResult, error) {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
 		env.EnableTrace(256)
-		mon := env.EnableInvariants()
-		if _, _, err := runDomainSwitch(c.cfg, env); err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
-		}
-		if mon.Err != nil {
-			return fmt.Errorf("%s: %w", c.name, mon.Err)
-		}
-		final, err := verify.RunMachine(env.M, env.LZ)
-		if err != nil {
-			return fmt.Errorf("%s: final verification: %w", c.name, err)
-		}
-		res := VerifyResult{
-			Name:          c.name,
-			Machine:       final.Machine,
-			InvariantRuns: mon.Runs,
-			Findings:      mon.Findings + len(final.Findings),
-			Final:         final,
-		}
-		if mon.Runs == 0 {
-			return fmt.Errorf("%s: invariant monitor never fired", c.name)
-		}
-		if res.Findings > 0 {
-			for _, fd := range append(mon.Last.Findings, final.Findings...) {
-				return findingsf("%s: clean machine reported finding: %s", c.name, fd)
-			}
-		}
-		out[i] = res
-		return nil
+		out[i], err = verifyCell(c.name, c.cfg, env.EnableInvariants())
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// verifyCell runs one configuration on the monitored machine to completion
+// and verifies the state it leaves behind. A finding at any chokepoint or in
+// the final report is an ErrFindings verdict naming the first finding.
+func verifyCell(name string, cfg DomainSwitchConfig, mon *InvariantMonitor) (VerifyResult, error) {
+	env := mon.env
+	if _, _, err := runDomainSwitch(cfg, env); err != nil {
+		return VerifyResult{}, fmt.Errorf("%s: %w", name, err)
+	}
+	if mon.Err != nil {
+		return VerifyResult{}, fmt.Errorf("%s: %w", name, mon.Err)
+	}
+	if mon.Runs == 0 {
+		return VerifyResult{}, fmt.Errorf("%s: invariant monitor never fired", name)
+	}
+	final, err := verify.RunMachineMemo(env.M, env.LZ, mon.memo)
+	if err != nil {
+		return VerifyResult{}, fmt.Errorf("%s: final verification: %w", name, err)
+	}
+	res := VerifyResult{
+		Name:          name,
+		Machine:       final.Machine,
+		InvariantRuns: mon.Runs,
+		Findings:      mon.Findings + len(final.Findings),
+		Final:         final,
+	}
+	first := mon.First
+	if first.Clean() {
+		first = final
+	}
+	if !first.Clean() {
+		return res, findingsf("%s: clean machine reported finding: %s", name, first.Findings[0])
+	}
+	return res, nil
 }

@@ -1,9 +1,18 @@
 package workload
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"lightzone/internal/arm64"
+	"lightzone/internal/core"
+	"lightzone/internal/kernel"
+	"lightzone/internal/mem"
 	"lightzone/internal/trace"
 	"lightzone/internal/verify"
 )
@@ -37,6 +46,156 @@ func TestVerifySweepClean(t *testing.T) {
 		if !r.Final.Clean() {
 			t.Errorf("%s: final report not clean", r.Name)
 		}
+	}
+}
+
+// plantTextWord writes a TLBI over the word at off in the process's first
+// sanitized executable page and returns its VA and a function that restores
+// the original word.
+func plantTextWord(env *Env, lp *core.LZProc, off uint64) (mem.VA, func() error, error) {
+	va, real, err := plantedExecPage(lp)
+	if err != nil {
+		return 0, nil, err
+	}
+	pa := real + mem.PA(off)
+	var orig, bad [4]byte
+	binary.LittleEndian.PutUint32(bad[:], arm64.TLBIVMALLE1())
+	if err := env.M.PM.Read(pa, orig[:]); err != nil {
+		return 0, nil, err
+	}
+	if err := env.M.PM.Write(pa, bad[:]); err != nil {
+		return 0, nil, err
+	}
+	return va + mem.VA(off), func() error { return env.M.PM.Write(pa, orig[:]) }, nil
+}
+
+// A finding seen only between two chokepoints still fails the cell: here a
+// sensitive word is written into the process's text just before one
+// mid-run chokepoint and restored right after it, so the last chokepoint
+// report and the final report are both clean.
+func TestVerifyCellFailsOnTransientFinding(t *testing.T) {
+	plat := verifyTestPlatform(t)
+	c := verifyConfigs(plat)[0]
+	env, err := NewEnv(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := env.EnableInvariants()
+	observe := env.LZ.Observer
+	const tamperAt = 4
+	calls := 0
+	var tamperVA mem.VA
+	env.LZ.Observer = func(event string, lp *core.LZProc) {
+		calls++
+		if calls != tamperAt {
+			observe(event, lp)
+			return
+		}
+		va, restore, err := plantTextWord(env, lp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe(event, lp)
+		if err := restore(); err != nil {
+			t.Fatal(err)
+		}
+		tamperVA = va
+	}
+	res, err := verifyCell(c.name, c.cfg, mon)
+	if calls <= tamperAt {
+		t.Fatalf("only %d chokepoints; the tamper must sit before the last one", calls)
+	}
+	if !mon.Last.Clean() || !res.Final.Clean() {
+		t.Fatalf("tamper was not transient: last %d, final %d findings", len(mon.Last.Findings), len(res.Final.Findings))
+	}
+	if !errors.Is(err, ErrFindings) {
+		t.Fatalf("transient finding not reported as a verdict: err=%v, findings=%d", err, res.Findings)
+	}
+	if want := fmt.Sprintf("va=%#x", uint64(tamperVA)); !strings.Contains(err.Error(), want) {
+		t.Errorf("verdict %q does not name the tampered %s", err, want)
+	}
+}
+
+// The observer's long-lived memo must be invisible: at every chokepoint of
+// the ttbr-8 and pan-8 cells on a Host and a Guest platform, and of the
+// overlay and granule switch benchmarks, its report equals one from a fresh
+// memo. Every other chokepoint a sensitive word sits in the text while the
+// two reports are taken (a different word each time), so the memo has to
+// follow the page from clean to dirty and back.
+func TestInvariantMemoMatchesFresh(t *testing.T) {
+	type cell struct {
+		name    string
+		prepare func() (*Env, *kernel.Process, error)
+		budget  int64
+	}
+	var cells []cell
+	for _, plat := range []Platform{AllPlatforms()[0], AllPlatforms()[3]} {
+		for _, c := range verifyConfigs(plat) {
+			if c.name == "ttbr-32" {
+				continue
+			}
+			cfg := c.cfg
+			cells = append(cells, cell{plat.String() + "/" + c.name,
+				func() (*Env, *kernel.Process, error) { return prepareDomainSwitch(cfg, nil) },
+				domainSwitchBudget(cfg)})
+		}
+	}
+	for _, backend := range []string{"overlay", "granule"} {
+		cfg := BackendSwitchConfig{Platform: AllPlatforms()[0], Backend: backend, Domains: 8, Iters: 200, Seed: Table5Seed}
+		cells = append(cells, cell{backend + "-8",
+			func() (*Env, *kernel.Process, error) { return prepareBackendSwitch(cfg) },
+			domainSwitchBudget(DomainSwitchConfig{Iters: cfg.Iters})})
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			env, p, err := c.prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo := verify.NewMemo()
+			runs, dirty := 0, 0
+			var diff error
+			env.LZ.Observer = func(event string, lp *core.LZProc) {
+				runs++
+				if diff != nil {
+					return
+				}
+				restore := func() error { return nil }
+				if runs%2 == 0 && len(lp.ExecCleanPages()) > 0 {
+					_, undo, err := plantTextWord(env, lp, uint64(runs%64)*arm64.InsnBytes)
+					if err != nil {
+						diff = err
+						return
+					}
+					restore = undo
+					dirty++
+				}
+				got, err1 := verify.RunMachineMemo(env.M, env.LZ, memo)
+				want, err2 := verify.RunMachine(env.M, env.LZ)
+				switch {
+				case err1 != nil || err2 != nil:
+					diff = fmt.Errorf("chokepoint %d (%s): capture failed: %v / %v", runs, event, err1, err2)
+				case !reflect.DeepEqual(got, want):
+					diff = fmt.Errorf("chokepoint %d (%s): memoised report differs from a fresh one:\n got %+v\nwant %+v",
+						runs, event, got, want)
+				}
+				if err := restore(); err != nil && diff == nil {
+					diff = err
+				}
+			}
+			if err := env.Run(p, c.budget); err != nil {
+				t.Fatal(err)
+			}
+			if p.Killed {
+				t.Fatalf("benchmark killed: %s", p.KillMsg)
+			}
+			if diff != nil {
+				t.Fatal(diff)
+			}
+			if runs < 3 || dirty == 0 {
+				t.Fatalf("only %d chokepoints (%d tampered)", runs, dirty)
+			}
+		})
 	}
 }
 
