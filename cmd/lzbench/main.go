@@ -15,6 +15,7 @@
 //	lzbench -all                # everything
 //	lzbench -all -json          # machine-readable: one JSON object per line
 //	lzbench -all -parallel 8    # shard measurement cells over 8 workers
+//	lzbench -all -pipeline audit # cross-check replays against static proofs
 //	lzbench -backend all        # isolation-backend comparison matrix
 //	lzbench -invariants         # static invariant verifier on the clean machines
 //	lzbench -pentest -invariants # + planted-attack battery, caught statically
@@ -25,10 +26,11 @@
 //	lzbench -serve -arrival bursty -rps 2000 -duration 1 -slo 500
 //	lzbench -serve -json -serveout BENCH_PR7.json
 //
-// Every measurement cell boots a private machine, so -parallel N changes
-// only wall-clock time: the emitted rows (emulated cycle counts included)
-// are byte-identical for every N. Record/replay leans on exactly that:
-// a journal replays correctly at any -parallel width.
+// Every measurement cell boots a private machine, so -parallel N and
+// -pipeline change only wall-clock time: the emitted rows (emulated cycle
+// counts included) are byte-identical for every N and pipeline.
+// Record/replay leans on exactly that: a journal replays correctly at any
+// -parallel width, on any pipeline.
 package main
 
 import (
@@ -62,10 +64,6 @@ func main() {
 		invar    = flag.Bool("invariants", false, "run the static invariant verifier at every mutation chokepoint of the clean machines, plus the planted-attack battery with -pentest; off by default, and the default output is unchanged when off")
 		backend  = flag.String("backend", "", "measure the isolation-backend comparison matrix for this backend (or \"all\"): domain-switch, per-page lz_mprotect and lz-syscall cycles under lightzone, overlay and granule; off by default and not part of -all")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the measurement sweeps (1 = fully sequential)")
-		noFast   = flag.Bool("nofastpath", false, "disable the host-side fastpaths (micro-TLBs, block-resident run loop, batched charging); emitted rows must stay byte-identical")
-		noDecode = flag.Bool("nodecode", false, "disable the decoded-block cache (the seed fetch/decode pipeline); emitted rows must stay byte-identical")
-		noTrace  = flag.Bool("notrace", false, "disable the trace compiler (no superblock stitching; the PR 4 block-resident pipeline); emitted rows must stay byte-identical")
-		proofAud = flag.Bool("proofaudit", false, "cross-check every cached-block replay against its static BlockProof (the abstract-interpretation artifact); summary on stderr, nonzero exit on any divergence, stdout byte-identical")
 		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a host heap profile to this file")
 		record   = flag.String("record", "", "record the run (config, nondeterministic inputs, emitted rows) into a replay journal at this path; implies -json")
@@ -80,6 +78,12 @@ func main() {
 		sloF     = flag.Float64("slo", 0, "with -serve: latency SLO in microseconds; 0 derives 4x each cell's mean service time")
 		serveOut = flag.String("serveout", "", "with -serve: also write the full serve cells (calibration, churn pressure, rows) as JSON to this file")
 	)
+	pipeline := cpu.PipelineFast
+	flag.Func("pipeline", "execution pipeline of every machine: fast (decode cache, micro-TLB fastpaths, traces), reference (the Step interpreter, every host-side layer off) or audit (fast, with every cached-block and trace replay cross-checked against its static proof; summary on stderr, nonzero exit on any divergence); rows are byte-identical on every pipeline (default fast)",
+		func(s string) (err error) {
+			pipeline, err = cpu.ParsePipeline(s)
+			return err
+		})
 	flag.Parse()
 	csvOut = *csvDir
 	jsonOut = *jsonMode
@@ -91,18 +95,7 @@ func main() {
 	serveDur = *durF
 	serveSLO = *sloF
 	serveOutPath = *serveOut
-	if *noFast {
-		cpu.SetHostFastpathDefault(false)
-	}
-	if *noDecode {
-		cpu.SetDecodeCacheDefault(false)
-	}
-	if *noTrace {
-		cpu.SetTraceDefault(false)
-	}
-	if *proofAud {
-		cpu.SetProofAuditDefault(true)
-	}
+	cpu.SetPipelineDefault(pipeline)
 	fleet = workload.NewFleet(*parallel)
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -116,7 +109,7 @@ func main() {
 		}
 	}
 	err := dispatch(*table, *figure, *mem, *pentest, *ablation, *all, *iters,
-		*parallel, *noFast, *noDecode, *noTrace, *record, *replayP, *chaosN, *chaosSd, *chaosOut)
+		*parallel, *record, *replayP, *chaosN, *chaosSd, *chaosOut)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -126,7 +119,7 @@ func main() {
 	if err == nil && *memProf != "" {
 		err = writeMemProfile(*memProf)
 	}
-	if err == nil && *proofAud {
+	if err == nil && pipeline == cpu.PipelineAudited {
 		err = reportProofAudit()
 	}
 	if err != nil {
@@ -137,8 +130,8 @@ func main() {
 
 // reportProofAudit summarizes the block-proof oracle on stderr and fails
 // the run when any completed replay contradicted its static proof. The
-// auditor is observation-only, so stdout stays byte-identical to a run
-// without the flag.
+// auditor is observation-only, so stdout stays byte-identical to a run on
+// any other pipeline.
 func reportProofAudit() error {
 	st := cpu.ReadProofAudit()
 	fmt.Fprintf(os.Stderr,
@@ -156,7 +149,7 @@ func reportProofAudit() error {
 // dispatch routes between the measurement path (optionally recorded), a
 // journal replay, and a chaos sweep.
 func dispatch(table, figure int, mem, pentest, ablation, all bool, iters,
-	parallel int, noFast, noDecode, noTrace bool, record, replayPath string,
+	parallel int, record, replayPath string,
 	chaosN int, chaosSeed int64, chaosOut string) error {
 	modes := 0
 	for _, on := range []bool{record != "", replayPath != "", chaosN > 0} {
@@ -179,14 +172,14 @@ func dispatch(table, figure int, mem, pentest, ablation, all bool, iters,
 		mem:    mem || all,
 	}
 	if record != "" {
-		return runRecord(record, spec, parallel, noFast, noDecode, noTrace)
+		return runRecord(record, spec, parallel)
 	}
 	return run(spec)
 }
 
 // runRecord executes the run with row capture and input recording on, then
 // seals everything into a journal.
-func runRecord(path string, spec runSpec, parallel int, noFast, noDecode, noTrace bool) error {
+func runRecord(path string, spec runSpec, parallel int) error {
 	if len(spec.suites) == 0 {
 		return fmt.Errorf("-record needs at least one suite (e.g. -all)")
 	}
@@ -208,9 +201,6 @@ func runRecord(path string, spec runSpec, parallel int, noFast, noDecode, noTrac
 			Mem:        spec.mem,
 			Seed:       workload.Table5Seed,
 			Parallel:   parallel,
-			NoFastpath: noFast,
-			NoDecode:   noDecode,
-			NoTrace:    noTrace,
 			Invariants: invariants,
 			Backend:    backendSel,
 		},
@@ -232,8 +222,8 @@ func runRecord(path string, spec runSpec, parallel int, noFast, noDecode, noTrac
 }
 
 // runReplay re-executes a journal's suites under its recorded inputs and
-// compares the emitted rows byte for byte. The current -parallel width is
-// deliberately kept: a journal must replay identically at any width.
+// compares the emitted rows byte for byte. The current -parallel width and
+// -pipeline are deliberately kept: a journal must replay identically on any.
 func runReplay(path string) error {
 	j, err := replay.ReadJournal(path)
 	if err != nil {
@@ -256,15 +246,6 @@ func runReplay(path string) error {
 			serveDur = j.Config.DurationS
 			serveSLO = j.Config.SLOMicros
 		}
-	}
-	if j.Config.NoFastpath {
-		cpu.SetHostFastpathDefault(false)
-	}
-	if j.Config.NoDecode {
-		cpu.SetDecodeCacheDefault(false)
-	}
-	if j.Config.NoTrace {
-		cpu.SetTraceDefault(false)
 	}
 	capture = []string{}
 	source = replay.NewReplaying(j.Inputs)

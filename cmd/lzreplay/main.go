@@ -83,8 +83,8 @@ func doInspect(w io.Writer, path string) error {
 	switch j.Kind {
 	case replay.KindBench:
 		fmt.Fprintf(w, "  suites:   %v\n", j.Config.Suites)
-		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d nofastpath=%v nodecode=%v invariants=%v\n",
-			j.Config.Iters, j.Config.Seed, j.Config.Parallel, j.Config.NoFastpath, j.Config.NoDecode, j.Config.Invariants)
+		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d invariants=%v\n",
+			j.Config.Iters, j.Config.Seed, j.Config.Parallel, j.Config.Invariants)
 		fmt.Fprintf(w, "  inputs:   %d recorded draws\n", len(j.Inputs))
 		for _, in := range j.Inputs {
 			fmt.Fprintf(w, "    %-24s %d\n", in.Key, in.Value)

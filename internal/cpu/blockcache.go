@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/arm64/absint"
@@ -117,28 +116,10 @@ type BlockCache struct {
 	binsns   []arm64.Insn
 }
 
-// decodeCacheDefault seeds the enabled state of newly created block caches,
-// so tools (lzbench -nodecode) can configure machines booted deep inside
-// sweeps.
-var decodeCacheDefault atomic.Bool
-
-func init() { decodeCacheDefault.Store(true) }
-
-// SetDecodeCacheDefault sets whether new vCPUs start with the decoded-block
-// cache enabled.
-func SetDecodeCacheDefault(on bool) { decodeCacheDefault.Store(on) }
-
-// DecodeCacheDefault reports the current default for new vCPUs.
-func DecodeCacheDefault() bool { return decodeCacheDefault.Load() }
-
 func newBlockCache(epochs *mem.CodeEpochs, stats *mem.Stats) *BlockCache {
 	// The block and intern maps are created on first insert: machines that
 	// never execute carry an empty cache without paying for its containers.
-	return &BlockCache{
-		enabled: decodeCacheDefault.Load(),
-		epochs:  epochs,
-		stats:   stats,
-	}
+	return &BlockCache{epochs: epochs, stats: stats}
 }
 
 // ctxFor interns a block translation context and returns its pre-shifted

@@ -78,6 +78,36 @@ func (e *env) run(t testing.TB, max int64) Exit {
 	return exit
 }
 
+// TestPipelineDefaultSeedsNewVCPUs checks that New applies the process-wide
+// Pipeline default, which tools set to configure the machines booted inside
+// sweeps, and that every Pipeline name parses back to itself.
+func TestPipelineDefaultSeedsNewVCPUs(t *testing.T) {
+	defer SetPipelineDefault(PipelineFast)
+	for _, tc := range []struct {
+		p           Pipeline
+		fast, audit bool
+	}{
+		{PipelineFast, true, false},
+		{PipelineReference, false, false},
+		{PipelineAudited, true, true},
+	} {
+		SetPipelineDefault(tc.p)
+		c := New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20))
+		if c.HostFastpathsEnabled() != tc.fast || c.DecodeCacheEnabled() != tc.fast ||
+			c.TracesEnabled() != tc.fast || (c.audit != nil) != tc.audit {
+			t.Errorf("%v: fastpaths=%v decode=%v traces=%v audit=%v, want layers %v, audit %v",
+				tc.p, c.HostFastpathsEnabled(), c.DecodeCacheEnabled(), c.TracesEnabled(),
+				c.audit != nil, tc.fast, tc.audit)
+		}
+		if p, err := ParsePipeline(tc.p.String()); err != nil || p != tc.p {
+			t.Errorf("ParsePipeline(%q) = %v, %v", tc.p.String(), p, err)
+		}
+	}
+	if _, err := ParsePipeline("nofastpath"); err == nil {
+		t.Error("ParsePipeline accepted an unknown name")
+	}
+}
+
 func TestArithmeticAndBranching(t *testing.T) {
 	e := newEnv(t)
 	// Sum 1..10 in x0 via a loop, then HVC to stop.

@@ -29,8 +29,6 @@
 package cpu
 
 import (
-	"sync/atomic"
-
 	"lightzone/internal/arm64"
 	"lightzone/internal/mem"
 )
@@ -91,19 +89,6 @@ type microTLBs struct {
 	dHits   uint64
 	dMisses uint64
 }
-
-// hostFastpathDefault seeds mtlb.enabled for newly created vCPUs, so tools
-// (lzbench -nofastpath) can configure machines booted deep inside sweeps.
-var hostFastpathDefault atomic.Bool
-
-func init() { hostFastpathDefault.Store(true) }
-
-// SetHostFastpathDefault sets whether new vCPUs start with host fastpaths
-// (micro-TLBs, block-resident Run, batched charging) enabled.
-func SetHostFastpathDefault(on bool) { hostFastpathDefault.Store(on) }
-
-// HostFastpathDefault reports the current default for new vCPUs.
-func HostFastpathDefault() bool { return hostFastpathDefault.Load() }
 
 // SetHostFastpaths enables or disables this vCPU's host fastpaths. Both
 // micro-TLB entries are dropped either way, and any batched cycles are

@@ -390,18 +390,3 @@ func TestMicroTLBSnapshotAndToggle(t *testing.T) {
 		}
 	}
 }
-
-// TestHostFastpathDefaultSeedsNewVCPUs checks the process-wide default used
-// by tools (lzbench -nofastpath) to configure machines booted inside sweeps.
-func TestHostFastpathDefaultSeedsNewVCPUs(t *testing.T) {
-	old := HostFastpathDefault()
-	defer SetHostFastpathDefault(old)
-	SetHostFastpathDefault(false)
-	if New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20)).HostFastpathsEnabled() {
-		t.Error("new vCPU ignored the disabled default")
-	}
-	SetHostFastpathDefault(true)
-	if !New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20)).HostFastpathsEnabled() {
-		t.Error("new vCPU ignored the enabled default")
-	}
-}

@@ -23,19 +23,8 @@ import (
 //
 // The auditor is strictly observation-only: it never calls Charge, never
 // touches Stats, and never mutates architectural state, so enabling it
-// cannot change emitted benchmark results (lzbench -proofaudit asserts
+// cannot change emitted benchmark results (lzbench -pipeline audit asserts
 // stdout byte-identity on top of the divergence count).
-
-// proofAuditDefault seeds the audit state of newly created vCPUs, so tools
-// (lzbench -proofaudit) can configure machines booted deep inside sweeps.
-var proofAuditDefault atomic.Bool
-
-// SetProofAuditDefault sets whether new vCPUs start with the block-proof
-// audit oracle attached.
-func SetProofAuditDefault(on bool) { proofAuditDefault.Store(on) }
-
-// ProofAuditDefault reports the current default for new vCPUs.
-func ProofAuditDefault() bool { return proofAuditDefault.Load() }
 
 // ProofAuditStats aggregates audit outcomes across all vCPUs since the
 // last reset. Spans = replays opened, Finished = replays that ran their
@@ -131,16 +120,16 @@ type proofAudit struct {
 }
 
 // SetProofAudit attaches or detaches the audit oracle on this vCPU.
+// Attaching drops the live traces: they were stitched without proofs, and
+// the ones that restitch under the oracle carry theirs.
 func (c *VCPU) SetProofAudit(on bool) {
 	if on && c.audit == nil {
+		c.dropAllTraces()
 		c.audit = &proofAudit{}
 	} else if !on {
 		c.audit = nil
 	}
 }
-
-// ProofAuditEnabled reports whether the audit oracle is attached.
-func (c *VCPU) ProofAuditEnabled() bool { return c.audit != nil }
 
 // noteEnter opens a span over a full-block replay beginning at pc. The
 // proof is derived lazily and cached on the block: a dblock is discarded
@@ -278,13 +267,12 @@ func rw(write bool) string {
 	return "read"
 }
 
-// buildTraceProof lazily proves each member block and composes the results
-// into the trace's TraceProof via the absint factory. This file owns every
-// `.proof` slot (tools/lint), so composition lives here rather than in the
-// stitcher. Returns false if composition rejected the inputs — the stitch
-// is then abandoned, since an unproven trace has no audit oracle and no
-// minimum-charge bound.
-func (c *VCPU) buildTraceProof(t *trace, edges []absint.TraceEdge) bool {
+// proveTrace proves each member block (lazily, cached on the block) and
+// composes the results into the trace's TraceProof. Only the oracle reads
+// trace proofs, so the stitcher calls this only with the audit attached.
+// The composer accepts every trace the stitcher builds; a rejection is a
+// divergence, and the trace is not installed.
+func (a *proofAudit) proveTrace(t *trace, edges []absint.TraceEdge) bool {
 	proofs := make([]*absint.BlockProof, len(t.blocks))
 	for i, b := range t.blocks {
 		if b.proof == nil {
@@ -293,7 +281,11 @@ func (c *VCPU) buildTraceProof(t *trace, edges []absint.TraceEdge) bool {
 		proofs[i] = b.proof
 	}
 	t.proof = absint.ComposeTrace(t.starts[0], proofs, edges)
-	return t.proof != nil
+	if t.proof == nil {
+		paDiverge("trace %#x: composer rejected the stitched trace", t.starts[0])
+		return false
+	}
+	return true
 }
 
 // noteTraceEnter opens a span over a guarded trace replay. Any active block
@@ -307,6 +299,7 @@ func (a *proofAudit) noteTraceEnter(c *VCPU, t *trace) {
 		a.abandonTraceSpan()
 	}
 	if t.proof == nil {
+		paDiverge("trace %#x: entered without a proof", t.starts[0])
 		return
 	}
 	a.tActive = true

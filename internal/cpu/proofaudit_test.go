@@ -46,6 +46,72 @@ func TestProofAuditCleanLoop(t *testing.T) {
 	}
 }
 
+// TestProofAuditTraceProofs stitches a hot memLoop with traces on. Trace
+// proofs exist exactly while the oracle is attached: with it, every live
+// trace carries a proof and the replays never diverge; without it, no trace
+// is proven; and attaching it late leaves no trace without a proof.
+func TestProofAuditTraceProofs(t *testing.T) {
+	hot := func(e *env) {
+		for i := 0; i < 4; i++ {
+			e.rerun(t, 10000)
+		}
+	}
+	proven := func(e *env) (live, withProof int) {
+		for _, tr := range e.c.tcache.traces {
+			live++
+			if tr.proof != nil {
+				withProof++
+			}
+		}
+		return live, withProof
+	}
+	for _, audit := range []bool{true, false} {
+		ResetProofAudit()
+		before := ReadTraceStats()
+		e := newEnv(t)
+		e.c.SetTraceHotThreshold(2)
+		e.c.SetProofAudit(audit)
+		e.load(t, memLoop(8))
+		e.run(t, 10000)
+		hot(e)
+		live, withProof := proven(e)
+		if done := ReadTraceStats().Sub(before).Completed; live == 0 || done == 0 {
+			t.Fatalf("audit=%v: %d live traces, %d completed; want both nonzero", audit, live, done)
+		}
+		want := 0
+		if audit {
+			want = live
+		}
+		if withProof != want {
+			t.Errorf("audit=%v: %d of %d live traces carry a proof, want %d", audit, withProof, live, want)
+		}
+		if st := ReadProofAudit(); st.Divergences != 0 || (audit && st.Finished == 0) {
+			t.Errorf("audit=%v: %+v", audit, st)
+		}
+	}
+
+	ResetProofAudit()
+	e := newEnv(t)
+	e.c.SetTraceHotThreshold(2)
+	e.load(t, memLoop(8))
+	e.run(t, 10000)
+	hot(e)
+	if live, _ := proven(e); live == 0 {
+		t.Fatal("no trace stitched before the audit was attached")
+	}
+	e.c.SetProofAudit(true)
+	if live, withProof := proven(e); live != withProof {
+		t.Errorf("late attach left %d of %d live traces without a proof", live-withProof, live)
+	}
+	hot(e)
+	if live, withProof := proven(e); live == 0 || live != withProof {
+		t.Errorf("after late attach: %d of %d live traces carry a proof", withProof, live)
+	}
+	if st := ReadProofAudit(); st.Divergences != 0 || st.Finished == 0 {
+		t.Errorf("after late attach: %+v", st)
+	}
+}
+
 // TestProofAuditObservationOnly requires bit-identical emulated cycles,
 // instruction counts and results with the oracle on and off — auditing may
 // never perturb the measured machine.

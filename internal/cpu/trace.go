@@ -114,8 +114,9 @@ type trace struct {
 	pages  []tracePage
 	steps  []traceStep
 
-	// proof is the composed TraceProof (see proofaudit.go; all access is
-	// confined to that file by tools/lint, like dblock.proof).
+	// proof is the composed TraceProof, built only while the audit oracle
+	// is attached (see proofaudit.go; all access is confined to that file
+	// by tools/lint, like dblock.proof).
 	proof *absint.TraceProof
 
 	// Entry-guard memo: when gValid and neither generation nor privilege
@@ -151,23 +152,8 @@ type traceCache struct {
 func newTraceCache() traceCache {
 	// Maps are created when the first trace is installed: most machines
 	// never stitch one.
-	return traceCache{
-		enabled:   traceDefault.Load(),
-		threshold: defaultTraceHot,
-	}
+	return traceCache{threshold: defaultTraceHot}
 }
-
-// traceDefault seeds the enabled state of newly created trace caches, so
-// tools (lzbench -notrace) can configure machines booted deep inside sweeps.
-var traceDefault atomic.Bool
-
-func init() { traceDefault.Store(true) }
-
-// SetTraceDefault sets whether new vCPUs start with trace compilation on.
-func SetTraceDefault(on bool) { traceDefault.Store(on) }
-
-// TraceDefault reports the current default for new vCPUs.
-func TraceDefault() bool { return traceDefault.Load() }
 
 // SetTraces enables or disables trace compilation on this vCPU. All stitched
 // traces are dropped either way, so the toggle is safe mid-run: "off" leaves
@@ -248,19 +234,6 @@ func ReadTraceStats() TraceStats {
 		GateRuns:     tGateRuns.Load(),
 		InsnsRun:     tInsnsRun.Load(),
 	}
-}
-
-// ResetTraceStats zeroes the global trace counters.
-func ResetTraceStats() {
-	tStitched.Store(0)
-	tStitchFailed.Store(0)
-	tEntered.Store(0)
-	tCompleted.Store(0)
-	tSideExits.Store(0)
-	tFused.Store(0)
-	tInvalidated.Store(0)
-	tGateRuns.Store(0)
-	tInsnsRun.Store(0)
 }
 
 // flushTraceStats folds this vCPU's trace counters into the package
@@ -465,8 +438,7 @@ walk:
 		blocks: blocks, keys: keys, starts: starts, pages: pages,
 	}
 	t.steps = c.flattenSteps(blocks, starts, edges)
-	if !c.buildTraceProof(t, edges) {
-		tc.stitchFailed++
+	if c.audit != nil && !c.audit.proveTrace(t, edges) {
 		return
 	}
 	if len(tc.traces) >= maxTraces {

@@ -482,10 +482,10 @@ func TestTraceBlockEvictionDropsDependents(t *testing.T) {
 	}
 }
 
-// TestTraceToggleAndDefaults covers the control surface: SetTraces(false)
-// drops stitched traces and stops stitching, the process-wide default seeds
-// new vCPUs (the lzbench -notrace path), and new vCPUs stitch at
-// defaultTraceHot.
+// TestTraceToggleAndDefaults covers the control surface: traces are on by
+// default, SetTraces(false) drops stitched traces and stops stitching, and
+// new vCPUs stitch at defaultTraceHot. TestPipelineDefaultSeedsNewVCPUs
+// covers the process-wide default.
 func TestTraceToggleAndDefaults(t *testing.T) {
 	e := newEnv(t)
 	e.c.SetTraceHotThreshold(2)
@@ -510,19 +510,7 @@ func TestTraceToggleAndDefaults(t *testing.T) {
 	if e.c.R(0) != 15 {
 		t.Errorf("x0 = %d, want 15", e.c.R(0))
 	}
-
-	oldOn := TraceDefault()
-	defer SetTraceDefault(oldOn)
-	SetTraceDefault(false)
-	if New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20)).TracesEnabled() {
-		t.Error("new vCPU ignored the disabled trace default")
-	}
-	SetTraceDefault(true)
-	c := New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20))
-	if !c.TracesEnabled() {
-		t.Error("new vCPU ignored the enabled trace default")
-	}
-	if c.tcache.threshold != defaultTraceHot {
+	if c := New(arm64.ProfileCortexA55(), mem.NewPhysMem(1<<20)); c.tcache.threshold != defaultTraceHot {
 		t.Errorf("new vCPU stitch threshold = %d, want %d", c.tcache.threshold, defaultTraceHot)
 	}
 }

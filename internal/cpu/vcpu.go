@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/mem"
@@ -95,16 +96,63 @@ func New(prof *arm64.Profile, pm *mem.PhysMem) *VCPU {
 		Stats:   stats,
 		Decoded: newBlockCache(epochs, stats),
 		PState:  arm64.PStateForEL(arm64.EL1) | arm64.PStateI | arm64.PStateF,
-		mtlb:    microTLBs{enabled: hostFastpathDefault.Load()},
 		tcache:  newTraceCache(),
 	}
-	c.SetProofAudit(proofAuditDefault.Load())
 	// Trace invalidation chokepoints: any code-epoch bump, block-cache
 	// reset, or cohort eviction drops the traces it could dangle.
 	epochs.OnBump = c.onCodeEpochBump
 	c.Decoded.onReset = c.dropAllTraces
 	c.Decoded.onEvict = c.dropTracesForBlockKey
+	c.SetPipeline(Pipeline(pipelineDefault.Load()))
 	return c
+}
+
+// Pipeline selects the host-side execution layers of a vCPU. Every pipeline
+// produces the same architectural state, emulated cycles and stats; they
+// differ only in host work, and in whether the block-proof oracle watches.
+type Pipeline uint32
+
+const (
+	// PipelineFast runs every host-side layer: the decoded-block cache,
+	// the micro-TLB fastpaths and the trace compiler.
+	PipelineFast Pipeline = iota
+	// PipelineReference runs the Step-per-instruction interpreter with every
+	// layer off: the pipeline the identity oracles compare against.
+	PipelineReference
+	// PipelineAudited is PipelineFast with the block-proof audit oracle
+	// attached (see proofaudit.go).
+	PipelineAudited
+)
+
+var pipelineNames = [...]string{"fast", "reference", "audit"}
+
+func (p Pipeline) String() string { return pipelineNames[p] }
+
+// ParsePipeline maps a name printed by String back to its Pipeline.
+func ParsePipeline(name string) (Pipeline, error) {
+	for i, n := range pipelineNames {
+		if n == name {
+			return Pipeline(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown pipeline %q (want fast, reference or audit)", name)
+}
+
+// pipelineDefault is the Pipeline New applies, so tools can configure the
+// machines that sweeps boot deep inside their cells.
+var pipelineDefault atomic.Uint32
+
+// SetPipelineDefault sets the Pipeline of every vCPU New creates from now on.
+func SetPipelineDefault(p Pipeline) { pipelineDefault.Store(uint32(p)) }
+
+// SetPipeline switches this vCPU's host-side layers and audit oracle to p.
+// Each switch drops the state it guards, so the change is safe mid-run.
+func (c *VCPU) SetPipeline(p Pipeline) {
+	fast := p != PipelineReference
+	c.SetHostFastpaths(fast)
+	c.SetDecodeCache(fast)
+	c.SetTraces(fast)
+	c.SetProofAudit(p == PipelineAudited)
 }
 
 // EL returns the current exception level.

@@ -37,7 +37,7 @@ const MaxFuzzWords = int(mem.PageSize/arm64.InsnBytes) - 1
 // returns the physical frame behind the code page. Both sides of a dual
 // run build theirs through this one function, so frame allocation order —
 // and therefore every physical address — is identical.
-func newFuzzEnv(fastpaths bool) (*cpu.VCPU, *mem.PhysMem, mem.PA, error) {
+func newFuzzEnv(p cpu.Pipeline) (*cpu.VCPU, *mem.PhysMem, mem.PA, error) {
 	pm := mem.NewPhysMem(64 << 20)
 	s1, err := mem.NewStage1(pm, 1)
 	if err != nil {
@@ -64,9 +64,7 @@ func newFuzzEnv(fastpaths bool) (*cpu.VCPU, *mem.PhysMem, mem.PA, error) {
 		}
 	}
 	c := cpu.New(arm64.ProfileCortexA55(), pm)
-	c.SetHostFastpaths(fastpaths)
-	c.SetDecodeCache(fastpaths)
-	c.SetTraces(fastpaths)
+	c.SetPipeline(p)
 	// Threshold 1 stitches on the second pass and replays on the third, so
 	// FuzzPasses runs land one pass in each tier of the cache hierarchy.
 	c.SetTraceHotThreshold(1)
@@ -125,9 +123,9 @@ func DualRun(words []uint32) (DualResult, error) {
 	if len(words) > MaxFuzzWords {
 		return res, fmt.Errorf("stream of %d words exceeds the %d-word code page", len(words), MaxFuzzWords)
 	}
-	run := func(fast bool) (Digest, [FuzzPasses]cpu.Exit, error) {
+	run := func(p cpu.Pipeline) (Digest, [FuzzPasses]cpu.Exit, error) {
 		var exits [FuzzPasses]cpu.Exit
-		c, pm, codePA, err := newFuzzEnv(fast)
+		c, pm, codePA, err := newFuzzEnv(p)
 		if err != nil {
 			return Digest{}, exits, err
 		}
@@ -149,10 +147,10 @@ func DualRun(words []uint32) (DualResult, error) {
 	}
 	var err error
 	var fastExits, slowExits [FuzzPasses]cpu.Exit
-	if res.Fast, fastExits, err = run(true); err != nil {
+	if res.Fast, fastExits, err = run(cpu.PipelineFast); err != nil {
 		return res, err
 	}
-	if res.Slow, slowExits, err = run(false); err != nil {
+	if res.Slow, slowExits, err = run(cpu.PipelineReference); err != nil {
 		return res, err
 	}
 	res.FastExit = fastExits[FuzzPasses-1]

@@ -55,16 +55,15 @@ type Journal struct {
 
 // RunConfig is the boundary configuration of a recorded lzbench run.
 // Parallel is informational: replays must produce identical rows at any
-// fleet width, so the replayer deliberately does not restore it.
+// fleet width, so the replayer deliberately does not restore it. The
+// execution pipeline is not recorded at all, for the same reason: rows are
+// identical on every pipeline.
 type RunConfig struct {
 	Suites     []string `json:"suites"`
 	Iters      int      `json:"iters"`
 	Mem        bool     `json:"mem,omitempty"` // figures also report §9 memory overheads
 	Seed       int64    `json:"seed"`
 	Parallel   int      `json:"parallel"`
-	NoFastpath bool     `json:"nofastpath,omitempty"`
-	NoDecode   bool     `json:"nodecode,omitempty"`
-	NoTrace    bool     `json:"notrace,omitempty"`
 	Invariants bool     `json:"invariants,omitempty"`
 	Backend    string   `json:"backend,omitempty"` // isolation-backend matrix scope ("", name, or "all")
 

@@ -1,15 +1,18 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"lightzone/internal/arm64"
 )
 
-// TestTable5CycleIdentityCacheOnOff runs Table 5 configurations through the
-// full {host fastpaths, decode cache} matrix and requires the measured
-// emulated cycles to be bit-identical in every cell: both layers elide
-// host-side work only.
+// TestTable5CycleIdentityCacheOnOff runs Table 5 configurations with the
+// host fastpaths, the decode cache and the trace compiler switched off in
+// turn, and requires the measured emulated cycles to be bit-identical in
+// every cell: each layer elides host-side work only. "notrace" keeps
+// fastpaths and decode on, the one mixed combination no lzbench pipeline
+// selects.
 func TestTable5CycleIdentityCacheOnOff(t *testing.T) {
 	cases := []struct {
 		variant Variant
@@ -21,12 +24,29 @@ func TestTable5CycleIdentityCacheOnOff(t *testing.T) {
 		{VariantWatchpoint, 2},
 	}
 	modes := []struct {
-		name             string
-		noDecode, noFast bool
+		name                      string
+		noDecode, noFast, noTrace bool
 	}{
-		{"nodecode", true, false},
-		{"nofastpath", false, true},
-		{"neither", true, true},
+		{"nodecode", true, false, false},
+		{"nofastpath", false, true, false},
+		{"neither", true, true, false},
+		{"notrace", false, false, true},
+	}
+	measure := func(cfg DomainSwitchConfig, noTrace bool) (int64, error) {
+		env, p, err := PrepareDomainSwitch(cfg)
+		if err != nil {
+			return 0, err
+		}
+		if noTrace {
+			env.M.CPU.SetTraces(false)
+		}
+		if err := env.Run(p, DomainSwitchBudget(cfg)); err != nil {
+			return 0, err
+		}
+		if p.Killed {
+			return 0, fmt.Errorf("benchmark killed: %s", p.KillMsg)
+		}
+		return env.Measured()
 	}
 	for _, plat := range []Platform{
 		{Prof: arm64.ProfileCarmel()},
@@ -37,7 +57,7 @@ func TestTable5CycleIdentityCacheOnOff(t *testing.T) {
 				Platform: plat, Variant: tc.variant, Domains: tc.domains,
 				Iters: 300, Seed: 42,
 			}
-			base, err := RunDomainSwitch(cfg)
+			base, err := measure(cfg, false)
 			if err != nil {
 				t.Fatalf("%v %v/%d baseline: %v", plat, tc.variant, tc.domains, err)
 			}
@@ -45,13 +65,13 @@ func TestTable5CycleIdentityCacheOnOff(t *testing.T) {
 				c := cfg
 				c.DisableDecodeCache = m.noDecode
 				c.DisableHostFastpaths = m.noFast
-				got, err := RunDomainSwitch(c)
+				got, err := measure(c, m.noTrace)
 				if err != nil {
 					t.Fatalf("%v %v/%d %s: %v", plat, tc.variant, tc.domains, m.name, err)
 				}
-				if got.TotalCycles != base.TotalCycles {
+				if got != base {
 					t.Errorf("%v %v/%d: cycles differ with %s (%d) vs all-on (%d)",
-						plat, tc.variant, tc.domains, m.name, got.TotalCycles, base.TotalCycles)
+						plat, tc.variant, tc.domains, m.name, got, base)
 				}
 			}
 		}
