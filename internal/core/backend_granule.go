@@ -73,7 +73,7 @@ func (granuleBackend) Alloc(lp *LZProc) (int, error) {
 // Free implements lz_free: destroy a zone, undelegating its granules back
 // to the shared pool.
 func (granuleBackend) Free(lp *LZProc, zone int) error {
-	d, ok := lp.pgts[zone]
+	d, ok := lp.PageTable(zone)
 	if !ok || zone == 0 {
 		return fmt.Errorf("lz_free: bad zone %d", zone)
 	}
@@ -106,7 +106,7 @@ func (granuleBackend) Prot(lp *LZProc, addr mem.VA, length uint64, zone, perm in
 	if length == 0 || mem.IsTTBR1(addr) {
 		return fmt.Errorf("lz_prot: bad region")
 	}
-	d, ok := lp.pgts[zone]
+	d, ok := lp.PageTable(zone)
 	if !ok || zone == 0 {
 		return fmt.Errorf("lz_prot: no zone %d", zone)
 	}
@@ -136,7 +136,7 @@ func (granuleBackend) Prot(lp *LZProc, addr mem.VA, length uint64, zone, perm in
 		if err := lp.mapIntoPGT(d, base, pa, size, attrs); err != nil {
 			return err
 		}
-		lp.protected[base] = &protInfo{pgts: map[int]int{zone: perm}, perm: perm}
+		lp.claim(base, d, perm)
 		// Delegate + assign: two RMI-style round trips per granule.
 		lp.kern.CPU.Charge(2 * lp.kern.Prof.HypDispatchCost)
 		va = base + mem.VA(size)
@@ -194,7 +194,7 @@ func (granuleBackend) HandleHVC(k *kernel.Kernel, t *kernel.Thread, lp *LZProc, 
 	lp.chargeModuleEntry(k)
 	c := k.CPU
 	zone := int(int64(c.R(0)))
-	d, ok := lp.pgts[zone]
+	d, ok := lp.PageTable(zone)
 	if !ok {
 		lp.violation(t, fmt.Sprintf("granule enter: no zone %d", zone))
 		return true, nil

@@ -91,7 +91,7 @@ func (overlayBackend) Free(lp *LZProc, key int) error {
 		}
 		lp.unmapEverywhere(base)
 		delete(st.pageKey, base)
-		delete(lp.protected, base)
+		lp.dropRegion(base)
 		delete(lp.exec, base)
 	}
 	delete(st.granted, key)
@@ -153,7 +153,7 @@ func (overlayBackend) Prot(lp *LZProc, addr mem.VA, length uint64, key, perm int
 			return err
 		}
 		st.pageKey[base] = key
-		lp.protected[base] = &protInfo{pgts: map[int]int{0: perm}, perm: perm}
+		lp.claim(base, lp.pgts[0], perm)
 		lp.kern.CPU.Charge(2 * lp.kern.Prof.MemAccessCost) // single-PTE retag
 		va = base + mem.VA(size)
 	}

@@ -224,7 +224,7 @@ func testAllocUnwinds(t *testing.T, backend string, prior int, top bool) {
 		}
 		drained = append(drained, pa)
 	}
-	pgts, asids, high := len(lp.pgts), lp.kern.LiveASIDs(), lp.PGTIDHighWater()
+	pgts, asids, high := lp.NumPageTables(), lp.kern.LiveASIDs(), lp.PGTIDHighWater()
 	ttbrTabPages := len(lp.ttbrTabPA)
 	failures, ttbrTab, stage2 := 0, 0, 0
 	for spare := 0; ; spare++ {
@@ -252,8 +252,8 @@ func testAllocUnwinds(t *testing.T, backend string, prior int, top bool) {
 				t.Fatalf("spare=%d call %d: %v", spare, call, err)
 			}
 			switch {
-			case len(lp.pgts) != pgts:
-				t.Fatalf("spare=%d call %d (%v): %d live tables, want %d", spare, call, err, len(lp.pgts), pgts)
+			case lp.NumPageTables() != pgts:
+				t.Fatalf("spare=%d call %d (%v): %d live tables, want %d", spare, call, err, lp.NumPageTables(), pgts)
 			case lp.kern.LiveASIDs() != asids:
 				t.Fatalf("spare=%d call %d (%v): %d live ASIDs, want %d", spare, call, err, lp.kern.LiveASIDs(), asids)
 			case lp.PGTIDHighWater() > high+1:
@@ -265,7 +265,7 @@ func testAllocUnwinds(t *testing.T, backend string, prior int, top bool) {
 				if strings.Contains(err.Error(), "stage-2") {
 					stage2++
 				}
-				if len(lp.pgts) == pgts && len(lp.ttbrTabPA) == ttbrTabPages && prior > 0 && err == mem.ErrOutOfFrames {
+				if lp.NumPageTables() == pgts && len(lp.ttbrTabPA) == ttbrTabPages && prior > 0 && err == mem.ErrOutOfFrames {
 					ttbrTab++
 				}
 				continue

@@ -66,7 +66,7 @@ func (lz *LightZone) handleLZFault(k *kernel.Kernel, t *kernel.Thread, lp *LZPro
 			lp.violation(t, "unrecognized TTBR0 value")
 			return nil
 		}
-		perm, mapped := info.pgts[cur.ID]
+		perm, mapped := info.view(cur.ID)
 		if !mapped {
 			lp.violation(t, fmt.Sprintf("domain page %v not mapped by current page table %d", base, cur.ID))
 			return nil
@@ -142,7 +142,7 @@ func (lz *LightZone) handleExecFault(k *kernel.Kernel, t *kernel.Thread, lp *LZP
 		if info.user {
 			execAllowed = execAllowed && info.perm&PermExec != 0
 		} else if cur != nil {
-			perm, mapped := info.pgts[cur.ID]
+			perm, mapped := info.view(cur.ID)
 			execAllowed = execAllowed && mapped && perm&PermExec != 0
 		} else {
 			execAllowed = false

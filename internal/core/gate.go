@@ -187,7 +187,7 @@ func (lp *LZProc) MapGatePgt(pgt, gate int) error {
 	if _, ok := lp.gateEntries[gate]; !ok {
 		return fmt.Errorf("lz_map_gate_pgt: gate %d not registered", gate)
 	}
-	d, ok := lp.pgts[pgt]
+	d, ok := lp.PageTable(pgt)
 	if !ok {
 		return fmt.Errorf("lz_map_gate_pgt: no page table %d", pgt)
 	}

@@ -47,11 +47,12 @@ func (lp *LZProc) AllowScalable() bool { return lp.allowScalable }
 
 // PageTableIDs returns the live domain page-table ids in ascending order.
 func (lp *LZProc) PageTableIDs() []int {
-	ids := make([]int, 0, len(lp.pgts))
-	for id := range lp.pgts {
-		ids = append(ids, id)
+	ids := make([]int, 0, lp.live)
+	for id, d := range lp.pgts {
+		if d != nil {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 

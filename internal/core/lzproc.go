@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
@@ -46,6 +47,10 @@ const MaxPageTables = 1 << 16
 type DomainPGT struct {
 	ID int
 	S1 *mem.Stage1
+
+	// held lists the bases of the non-PAN protected regions this table
+	// has a view of, so freeing it touches only those regions.
+	held []mem.VA
 }
 
 // TTBR returns the TTBR0 value selecting this table.
@@ -61,10 +66,38 @@ const (
 	execDirty                  // mapped W (writable), not X
 )
 
+// view is one table's permission overlay on a protected region.
+type view struct{ id, perm int }
+
 type protInfo struct {
-	pgts map[int]int // pgt id -> perm overlay
-	user bool        // PAN-protected
-	perm int
+	// views are the tables mapping a non-PAN region, in attach order. A
+	// PAN region has none: it is mapped in every table with perm.
+	views []view
+	user  bool // PAN-protected
+	perm  int
+}
+
+// view returns table id's overlay on the region, if it has one.
+func (info *protInfo) view(id int) (int, bool) {
+	for _, v := range info.views {
+		if v.id == id {
+			return v.perm, true
+		}
+	}
+	return 0, false
+}
+
+// setView gives table id the overlay perm, reporting whether the view is
+// new.
+func (info *protInfo) setView(id, perm int) bool {
+	for i := range info.views {
+		if info.views[i].id == id {
+			info.views[i].perm = perm
+			return false
+		}
+	}
+	info.views = append(info.views, view{id, perm})
+	return true
 }
 
 // GateEntry is a statically allocated legitimate entry: the address
@@ -95,7 +128,9 @@ type LZProc struct {
 	policy        SanPolicy
 	fake          *FakePhys
 
-	pgts    map[int]*DomainPGT
+	pgts    []*DomainPGT // by id; nil for a free id
+	live    int          // non-nil entries of pgts
+	leaves  *mem.LeafIndex
 	byRoot  map[mem.PA]*DomainPGT
 	nextPGT int
 	freePGT []int // recycled domain ids, LIFO (see newPGT)
@@ -116,7 +151,10 @@ type LZProc struct {
 	gatePgt     map[int]int    // gate id -> PGTID
 
 	protected map[mem.VA]*protInfo
-	exec      map[mem.VA]execState
+	// panRegions are the bases of the PAN (PermUser) regions, in
+	// protection order: the ones a new table must map.
+	panRegions []mem.VA
+	exec       map[mem.VA]execState
 
 	world kernel.World
 
@@ -145,12 +183,14 @@ func (lp *LZProc) Policy() SanPolicy { return lp.policy }
 
 // PageTable returns domain page table id, if allocated.
 func (lp *LZProc) PageTable(id int) (*DomainPGT, bool) {
-	d, ok := lp.pgts[id]
-	return d, ok
+	if id < 0 || id >= len(lp.pgts) || lp.pgts[id] == nil {
+		return nil, false
+	}
+	return lp.pgts[id], true
 }
 
 // NumPageTables returns the number of live domain page tables.
-func (lp *LZProc) NumPageTables() int { return len(lp.pgts) }
+func (lp *LZProc) NumPageTables() int { return lp.live }
 
 // DomainLimit returns the effective cap on live domain page tables.
 func (lp *LZProc) DomainLimit() int {
@@ -169,8 +209,8 @@ func (lp *LZProc) SetDomainLimit(n int) error {
 	if n < 0 || n > MaxPageTables {
 		return fmt.Errorf("domain limit %d out of range [0, %d]", n, MaxPageTables)
 	}
-	if n != 0 && len(lp.pgts) > n {
-		return fmt.Errorf("domain limit %d below %d live page tables", n, len(lp.pgts))
+	if n != 0 && lp.live > n {
+		return fmt.Errorf("domain limit %d below %d live page tables", n, lp.live)
 	}
 	lp.maxDomains = n
 	return nil
@@ -192,7 +232,9 @@ func (lp *LZProc) FreePGTIDs() int { return len(lp.freePGT) }
 func (lp *LZProc) PageTableBytes() uint64 {
 	total := lp.vm.S2.TableBytes() + lp.ttbr1.TableBytes()
 	for _, d := range lp.pgts {
-		total += d.S1.TableBytes()
+		if d != nil {
+			total += d.S1.TableBytes()
+		}
 	}
 	return total
 }
@@ -229,7 +271,7 @@ func (lp *LZProc) s2MapData(fake mem.IPA, real mem.PA) error {
 // of a slot stays valid across any amount of alloc/free churn.
 func (lp *LZProc) newPGT() (*DomainPGT, error) {
 	limit := lp.DomainLimit()
-	if len(lp.pgts) >= limit {
+	if lp.live >= limit {
 		return nil, fmt.Errorf("page table limit (%d) reached", limit)
 	}
 	if len(lp.freePGT) == 0 && lp.nextPGT >= limit {
@@ -237,7 +279,7 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 		// a parked id), but kept as a hard stop against id-space walk-off:
 		// handing out an id ≥ limit would index writeTTBRTab past the
 		// window the regime promised.
-		return nil, fmt.Errorf("page table id space (%d) exhausted with %d live", limit, len(lp.pgts))
+		return nil, fmt.Errorf("page table id space (%d) exhausted with %d live", limit, lp.live)
 	}
 	asid := lp.kern.AllocASID()
 	s1, err := mem.NewStage1(lp.kern.PM, asid)
@@ -252,9 +294,12 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 		lp.freePGT = lp.freePGT[:n-1]
 	} else {
 		lp.nextPGT++
+		lp.pgts = append(lp.pgts, nil)
 	}
+	s1.AttachIndex(lp.leaves, id)
 	d := &DomainPGT{ID: id, S1: s1}
-	lp.pgts[d.ID] = d
+	lp.pgts[id] = d
+	lp.live++
 	lp.byRoot[s1.Root()] = d
 	if err := lp.s2MapTable(s1.Root()); err != nil {
 		lp.releasePGT(d)
@@ -270,9 +315,10 @@ func (lp *LZProc) newPGT() (*DomainPGT, error) {
 // tear a table down through here, so sustained churn or repeated
 // exhaustion can exhaust neither the id nor the ASID space.
 func (lp *LZProc) releasePGT(d *DomainPGT) {
-	lp.detachPGT(d.ID)
+	lp.detachPGT(d)
 	delete(lp.byRoot, d.S1.Root())
-	delete(lp.pgts, d.ID)
+	lp.pgts[d.ID] = nil
+	lp.live--
 	lp.kern.FreeASID(lp.vm.VMID, d.S1.ASID())
 	lp.freePGT = append(lp.freePGT, d.ID)
 	d.S1.Free()
@@ -319,9 +365,12 @@ func (lp *LZProc) mapIntoPGT(d *DomainPGT, va mem.VA, realPA mem.PA, size uint64
 }
 
 // mapUnprotected installs an unprotected page into every domain table as a
-// global mapping.
+// global mapping, in id order (the order new table frames are taken in).
 func (lp *LZProc) mapUnprotected(va mem.VA, realPA mem.PA, size uint64, attrs uint64) error {
 	for _, d := range lp.pgts {
+		if d == nil {
+			continue
+		}
 		if err := lp.mapIntoPGT(d, va, realPA, size, attrs); err != nil {
 			return err
 		}
@@ -329,13 +378,45 @@ func (lp *LZProc) mapUnprotected(va mem.VA, realPA mem.PA, size uint64, attrs ui
 	return nil
 }
 
-// unmapEverywhere removes va from every domain table and flushes the TLB
-// entries for it.
+// unmapEverywhere removes va from every domain table, through the leaf
+// index, and flushes the TLB entries for it.
 func (lp *LZProc) unmapEverywhere(va mem.VA) {
-	for _, d := range lp.pgts {
-		_, _ = d.S1.Unmap(va)
-	}
+	lp.leaves.Unmap(va)
 	lp.kern.CPU.TLB.InvalidateVA(lp.vm.VMID, va)
+}
+
+// dropRegion forgets the protection of region base: a PAN region leaves
+// panRegions, and every table with a view stops listing it.
+func (lp *LZProc) dropRegion(base mem.VA) {
+	info := lp.protected[base]
+	if info == nil {
+		return
+	}
+	delete(lp.protected, base)
+	if info.user {
+		lp.panRegions = deleteVA(lp.panRegions, base)
+		return
+	}
+	for _, v := range info.views {
+		d := lp.pgts[v.id]
+		d.held = deleteVA(d.held, base)
+	}
+}
+
+// claim makes base a region that table d alone maps, with overlay perm,
+// replacing whatever protection it had.
+func (lp *LZProc) claim(base mem.VA, d *DomainPGT, perm int) {
+	lp.dropRegion(base)
+	lp.protected[base] = &protInfo{views: []view{{d.ID, perm}}, perm: perm}
+	d.held = append(d.held, base)
+}
+
+// deleteVA removes va from s, keeping the order of the rest.
+func deleteVA(s []mem.VA, va mem.VA) []mem.VA {
+	if i := slices.Index(s, va); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // traceCodeInval records a decoded-code invalidation for a page whose
@@ -383,8 +464,9 @@ func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt int, perm int) error {
 	if length == 0 || mem.IsTTBR1(addr) {
 		return fmt.Errorf("lz_prot: bad region")
 	}
+	d, ok := lp.PageTable(pgt)
 	if perm&PermUser == 0 {
-		if _, ok := lp.pgts[pgt]; !ok {
+		if !ok {
 			return fmt.Errorf("lz_prot: no page table %d", pgt)
 		}
 		if !lp.allowScalable && pgt != 0 {
@@ -409,13 +491,14 @@ func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt int, perm int) error {
 			// PAN domain: user+global bits in every table (§6.1).
 			lp.unmapEverywhere(base)
 			lp.traceCodeInval(base, "lz_prot PAN-domain remap")
-			info = &protInfo{pgts: map[int]int{}, perm: perm, user: true}
-			for id := range lp.pgts {
-				info.pgts[id] = perm
-			}
 			if err := lp.mapUnprotected(base, pa, size, attrs); err != nil {
 				return err
 			}
+			if info == nil || !info.user {
+				lp.dropRegion(base)
+				lp.panRegions = append(lp.panRegions, base)
+			}
+			lp.protected[base] = &protInfo{perm: perm, user: true}
 		case info != nil && !info.user:
 			// Already protected: attach to an additional page table,
 			// possibly with a different permission overlay — "pages
@@ -423,9 +506,11 @@ func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt int, perm int) error {
 			// page tables, allowing different permission overlays. For
 			// example, JIT code pages can switch between writable and
 			// executable permissions via two page tables" (§6.1).
-			info.pgts[pgt] = perm
+			if info.setView(pgt, perm) {
+				d.held = append(d.held, base)
+			}
 			attrs |= mem.AttrNG
-			if err := lp.mapIntoPGT(lp.pgts[pgt], base, pa, size, attrs); err != nil {
+			if err := lp.mapIntoPGT(d, base, pa, size, attrs); err != nil {
 				return err
 			}
 			lp.kern.CPU.TLB.InvalidateVA(lp.vm.VMID, base)
@@ -435,13 +520,12 @@ func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt int, perm int) error {
 			// table, then attach it to the target one.
 			lp.unmapEverywhere(base)
 			lp.traceCodeInval(base, "lz_prot first protection")
-			info = &protInfo{pgts: map[int]int{pgt: perm}, perm: perm}
 			attrs |= mem.AttrNG // protected pages are ASID-private
-			if err := lp.mapIntoPGT(lp.pgts[pgt], base, pa, size, attrs); err != nil {
+			if err := lp.mapIntoPGT(d, base, pa, size, attrs); err != nil {
 				return err
 			}
+			lp.claim(base, d, perm)
 		}
-		lp.protected[base] = info
 		lp.kern.CPU.Charge(4 * lp.kern.Prof.MemAccessCost) // PTE rewrite cost
 		va = base + mem.VA(size)
 	}
@@ -471,38 +555,35 @@ func overlayAttrs(kdesc uint64, perm int) uint64 {
 // in writable state no view is executable and write permissions follow the
 // overlays.
 func (lp *LZProc) remapProtected(base mem.VA, pa mem.PA, size uint64, kdesc uint64, info *protInfo, exec bool) error {
-	for id, perm := range info.pgts {
+	for _, v := range info.views {
 		attrs := uint64(mem.AttrUXN | mem.AttrSWLZProt | mem.AttrNG | mem.AttrPXN)
 		if exec {
 			attrs |= mem.AttrAPRO
-			if perm&PermExec != 0 {
+			if v.perm&PermExec != 0 {
 				attrs &^= mem.AttrPXN
 			}
-		} else if perm&PermWrite == 0 || kdesc&mem.AttrAPRO != 0 {
+		} else if v.perm&PermWrite == 0 || kdesc&mem.AttrAPRO != 0 {
 			attrs |= mem.AttrAPRO
 		}
-		if err := lp.mapIntoPGT(lp.pgts[id], base, pa, size, attrs); err != nil {
+		if err := lp.mapIntoPGT(lp.pgts[v.id], base, pa, size, attrs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// AttachToNewPGT propagates PAN-protected (user) pages into a freshly
-// allocated table so PermUser regions stay visible in all tables.
+// attachUserPagesTo maps the PAN-protected (user) regions into a freshly
+// allocated table, in protection order, so PermUser regions stay visible
+// in all tables.
 func (lp *LZProc) attachUserPagesTo(d *DomainPGT) error {
-	for va, info := range lp.protected {
-		if !info.user {
-			continue
-		}
+	for _, va := range lp.panRegions {
 		pa, kdesc, size, err := lp.kernelFrame(va)
 		if err != nil {
 			return err
 		}
-		if err := lp.mapIntoPGT(d, va, pa, size, overlayAttrs(kdesc, info.perm)); err != nil {
+		if err := lp.mapIntoPGT(d, va, pa, size, overlayAttrs(kdesc, lp.protected[va].perm)); err != nil {
 			return err
 		}
-		info.pgts[d.ID] = info.perm
 	}
 	return nil
 }
@@ -550,21 +631,23 @@ func (lp *LZProc) populatePGT(d *DomainPGT) error {
 	return lp.attachUserPagesTo(d)
 }
 
-// detachPGT drops domain table id from every protected region's view set,
-// forgetting regions no table holds any more.
-func (lp *LZProc) detachPGT(id int) {
-	for va, info := range lp.protected {
-		delete(info.pgts, id)
-		if len(info.pgts) == 0 {
-			delete(lp.protected, va)
+// detachPGT drops domain table d from the view set of each region it
+// holds, forgetting regions no table holds any more.
+func (lp *LZProc) detachPGT(d *DomainPGT) {
+	for _, base := range d.held {
+		info := lp.protected[base]
+		info.views = slices.DeleteFunc(info.views, func(v view) bool { return v.id == d.ID })
+		if len(info.views) == 0 {
+			delete(lp.protected, base)
 		}
 	}
+	d.held = nil
 }
 
 // Free implements lz_free: destroy a page table. The base table (0) and
 // the currently installed table cannot be freed.
 func (lp *LZProc) Free(pgt int) error {
-	d, ok := lp.pgts[pgt]
+	d, ok := lp.PageTable(pgt)
 	if !ok || pgt == 0 {
 		return fmt.Errorf("lz_free: bad page table %d", pgt)
 	}

@@ -171,7 +171,7 @@ func (lz *LightZone) enter(k *kernel.Kernel, t *kernel.Thread, allowScalable boo
 		allowScalable: allowScalable,
 		policy:        policy,
 		fake:          NewFakePhys(lz.Opts.IdentityPhys),
-		pgts:          make(map[int]*DomainPGT),
+		leaves:        mem.NewLeafIndex(k.PM),
 		byRoot:        make(map[mem.PA]*DomainPGT),
 		gateEntries:   make(map[int]uint64),
 		gatePgt:       make(map[int]int),
@@ -314,7 +314,7 @@ func (lp *LZProc) syncUnmap(va mem.VA) {
 		}
 	}
 	lp.unmapEverywhere(va)
-	delete(lp.protected, va)
+	lp.dropRegion(va)
 	delete(lp.exec, va)
 }
 

@@ -45,8 +45,9 @@ func stage2Ops(t *Stage2) stageOps {
 // TestStagesRangeAndVisitContract runs the same cases on both stages. An
 // address outside a stage's input range (bit 48 set on a stage-1 VA, bit 39
 // on a stage-2 IPA) must never act on the in-range address it aliases
-// modulo the index bits, at any entry point; and Visit must stop at the
-// first false from fn, however many tables remain.
+// modulo the index bits, at any entry point; MapBlock must fail rather
+// than replace a leaf table; and Visit must stop at the first false from
+// fn, however many tables remain.
 func TestStagesRangeAndVisitContract(t *testing.T) {
 	const (
 		low    = 0x1000
@@ -105,6 +106,14 @@ func TestStagesRangeAndVisitContract(t *testing.T) {
 		{"update-leaf", func(ops stageOps, oor uint64) string {
 			if found, _ := ops.updateLeaf(oor|low, func(d uint64) uint64 { return d &^ AttrAPRO }); found {
 				return "out-of-range UpdateLeaf reported a mapping"
+			}
+			return ""
+		}},
+		{"map-block-over-table", func(ops stageOps, _ uint64) string {
+			// The low mapping's region holds a leaf table: a block there
+			// would orphan it and drop the mapping, so MapBlock fails.
+			if err := ops.mapBlock(0, 4*HugePageSize, 0); err == nil {
+				return "MapBlock over a leaf table succeeded"
 			}
 			return ""
 		}},

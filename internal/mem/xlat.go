@@ -88,11 +88,15 @@ type xlat struct {
 	// lastLeafKey/lastLeafTable cache the level-3 table of the last mapped
 	// 2MB region, so callers mapping ascending addresses (lz_enter's table
 	// duplication, EnsureMapped, stage-2 mirroring) skip the descent. Leaf
-	// tables live until free; only free, mapBlock (which may replace a
-	// level-2 table slot with a block) and copyLeaves (which fills leaf
+	// tables live until free; only free and copyLeaves (which fills leaf
 	// tables directly) invalidate it.
 	lastLeafKey   uint64
 	lastLeafTable PA
+
+	// leaves, when set, is the index this table registers its level-3
+	// tables in, under leafSlot (see LeafIndex).
+	leaves   *LeafIndex
+	leafSlot int
 }
 
 // Root returns the physical address of the root table (the TTBR or
@@ -104,8 +108,9 @@ func (t *xlat) Root() PA { return t.root }
 func (t *xlat) TableBytes() uint64 { return uint64(t.tableFrames) * PageSize }
 
 // descend returns the table at level to on addr's path, allocating the
-// missing tables on the way. hook, when set, sees every new table frame;
-// its error fails the descent.
+// missing tables on the way, and registers a level-3 table in the leaf
+// index. hook, when set, sees every new table frame; its error fails the
+// descent.
 func (t *xlat) descend(addr uint64, to int, hook func(PA) error) (PA, error) {
 	table := t.root
 	for level := t.start; level < to; level++ {
@@ -134,6 +139,9 @@ func (t *xlat) descend(addr uint64, to int, hook func(PA) error) (PA, error) {
 			return 0, fmt.Errorf("map %#x level %d: %w", addr, level, err)
 		}
 		table = next
+	}
+	if to == 3 && t.leaves != nil {
+		t.leaves.add(addr, t.leafSlot, table)
 	}
 	return table, nil
 }
@@ -166,12 +174,22 @@ func (t *xlat) mapBlock(addr uint64, pa PA, attrs uint64, hook func(PA) error) e
 	if addr&HugePageMask != 0 || uint64(pa)&HugePageMask != 0 {
 		return fmt.Errorf("unaligned 2MB mapping %#x -> %v", addr, pa)
 	}
-	t.lastLeafTable = 0
 	table, err := t.descend(addr, 2, hook)
 	if err != nil {
 		return err
 	}
-	return t.set(table, TableIndex(addr, 2), uint64(pa)&OAMask|attrs|DescValid|AttrAF) // no DescTable: block
+	f, err := t.pm.frame(table)
+	if err != nil {
+		return err
+	}
+	idx := TableIndex(addr, 2)
+	if ClassifyDesc(readDesc(f, idx), 2) == DescKindTable {
+		// Overwriting would orphan the leaf table and drop its 4KB
+		// mappings; the caller must unmap the region first.
+		return fmt.Errorf("map block %#x: descriptor at %v is a table, not a block slot", addr, table+PA(idx*8))
+	}
+	writeDesc(f, idx, uint64(pa)&OAMask|attrs|DescValid|AttrAF) // no DescTable: block
+	return nil
 }
 
 // slot follows table descriptors towards addr to the first slot not holding
@@ -350,24 +368,33 @@ func (t *xlat) copyLeafTable(f *[PageSize]byte, base uint64, skip uint64, hook f
 	return n, nil
 }
 
-// Free releases every table frame (not the mapped data frames). The table
-// must not be used afterwards.
+// Free releases every table frame (not the mapped data frames) and gives
+// up the table's leaf-index slot. The table must not be used afterwards.
 func (t *xlat) Free() {
-	t.freeTable(t.root, t.start)
+	t.freeTable(t.root, t.start, 0)
+	if t.leaves != nil {
+		t.leaves.tables[t.leafSlot] = nil
+		t.leaves = nil
+	}
 	t.root, t.tableFrames, t.lastLeafTable = 0, 0, 0
 }
 
-func (t *xlat) freeTable(table PA, level int) {
+// freeTable frees table, the level table mapping the region at base, and
+// every table under it.
+func (t *xlat) freeTable(table PA, level int, base uint64) {
 	if level < 3 {
 		// One frame read per table: freeing children only returns frames
 		// to the allocator, so the descriptors stay put while we iterate.
 		if f, err := t.pm.frame(table); err == nil {
+			span := uint64(1) << LevelShift(level)
 			for idx := uint64(0); idx < 512; idx++ {
 				if desc := readDesc(f, idx); desc&(DescValid|DescTable) == DescValid|DescTable {
-					t.freeTable(PA(desc&OAMask), level+1)
+					t.freeTable(PA(desc&OAMask), level+1, canonical(base+idx*span))
 				}
 			}
 		}
+	} else if t.leaves != nil {
+		t.leaves.drop(base, t.leafSlot)
 	}
 	t.pm.FreeFrame(table)
 }
