@@ -26,11 +26,14 @@
 //	lzbench -serve -arrival bursty -rps 2000 -duration 1 -slo 500
 //	lzbench -serve -json -serveout BENCH_PR7.json
 //
-// Every measurement cell boots a private machine, so -parallel N and
-// -pipeline change only wall-clock time: the emitted rows (emulated cycle
-// counts included) are byte-identical for every N and pipeline.
-// Record/replay leans on exactly that: a journal replays correctly at any
-// -parallel width, on any pipeline.
+// The flags that choose what a run measures parse into one
+// replay.RunConfig: the suites, the iteration budget, the backend scope,
+// the serve settings. A journal stores that config and the emitted rows,
+// and a replay runs the recorded config and diffs the rows. Every
+// measurement cell boots a private machine, so -parallel N and -pipeline
+// change only wall-clock time: the emitted rows (emulated cycle counts
+// included) are byte-identical for every N and pipeline, and a journal
+// replays at any -parallel width, on any pipeline.
 package main
 
 import (
@@ -40,6 +43,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -52,32 +56,33 @@ import (
 
 func main() {
 	var (
+		cfg      = replay.RunConfig{Seed: workload.Table5Seed}
 		table    = flag.Int("table", 0, "regenerate table 4 or 5")
 		figure   = flag.Int("figure", 0, "regenerate figure 3, 4 or 5")
-		mem      = flag.Bool("mem", false, "with -figure: also report the memory overheads")
 		pentest  = flag.Bool("pentest", false, "run the 7.2 penetration tests")
 		ablation = flag.Bool("ablations", false, "measure the 5.2 optimization ablations")
 		all      = flag.Bool("all", false, "run everything")
-		iters    = flag.Int("iters", 10000, "domain-switch iterations (table 5)")
 		csvDir   = flag.String("csv", "", "also write figure series as CSV files into this directory")
 		jsonMode = flag.Bool("json", false, "emit one JSON object per table row / figure point instead of tables")
-		invar    = flag.Bool("invariants", false, "run the static invariant verifier at every mutation chokepoint of the clean machines, plus the planted-attack battery with -pentest; off by default, and the default output is unchanged when off")
-		backend  = flag.String("backend", "", "measure the isolation-backend comparison matrix for this backend (or \"all\"): domain-switch, per-page lz_mprotect and lz-syscall cycles under lightzone, overlay and granule; off by default and not part of -all")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the measurement sweeps (1 = fully sequential)")
 		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a host heap profile to this file")
-		record   = flag.String("record", "", "record the run (config, nondeterministic inputs, emitted rows) into a replay journal at this path; implies -json")
-		replayP  = flag.String("replay", "", "replay a recorded journal: re-run its suites under the recorded inputs and fail unless every row is byte-identical; implies -json")
+		record   = flag.String("record", "", "record the run (its config and emitted rows) into a replay journal at this path; implies -json")
+		replayP  = flag.String("replay", "", "replay a recorded journal: re-run its recorded config and fail unless every row is byte-identical; implies -json")
 		chaosN   = flag.Int("chaos", 0, "run a fault-injection sweep of this many derived chaos cases; every case must converge to its recorded baseline or be flagged by a named verify checker")
 		chaosSd  = flag.Int64("chaosseed", 1, "seed for deriving the -chaos plans")
 		chaosOut = flag.String("chaosout", "", "write one replayable journal per failing chaos case into this directory")
 		serveF   = flag.Bool("serve", false, "run the always-on service harness: open-loop load against the long-lived serve apps under both zone-id regimes, with latency percentiles and throughput-at-SLO; off by default and not part of -all")
-		arrivalF = flag.String("arrival", "poisson", "with -serve: arrival process (poisson or bursty)")
-		rpsF     = flag.Float64("rps", 0, "with -serve: offered load in requests/sec; 0 sweeps the utilization ladder against each cell's measured capacity")
-		durF     = flag.Float64("duration", serve.DefaultDurationS, "with -serve: virtual seconds of offered load per operating point")
-		sloF     = flag.Float64("slo", 0, "with -serve: latency SLO in microseconds; 0 derives 4x each cell's mean service time")
 		serveOut = flag.String("serveout", "", "with -serve: also write the full serve cells (calibration, churn pressure, rows) as JSON to this file")
 	)
+	flag.BoolVar(&cfg.Mem, "mem", false, "with -figure: also report the memory overheads")
+	flag.IntVar(&cfg.Iters, "iters", 10000, "domain-switch iterations (table 5)")
+	flag.BoolVar(&cfg.Invariants, "invariants", false, "run the static invariant verifier at every mutation chokepoint of the clean machines, plus the planted-attack battery with -pentest; off by default, and the default output is unchanged when off")
+	flag.StringVar(&cfg.Backend, "backend", "", "measure the isolation-backend comparison matrix for this backend (or \"all\"): domain-switch, per-page lz_mprotect and lz-syscall cycles under lightzone, overlay and granule; off by default and not part of -all")
+	flag.IntVar(&cfg.Parallel, "parallel", runtime.NumCPU(), "worker goroutines for the measurement sweeps (1 = fully sequential)")
+	flag.StringVar(&cfg.Arrival, "arrival", "poisson", "with -serve: arrival process (poisson or bursty)")
+	flag.Float64Var(&cfg.RPS, "rps", 0, "with -serve: offered load in requests/sec; 0 sweeps the utilization ladder against each cell's measured capacity")
+	flag.Float64Var(&cfg.DurationS, "duration", serve.DefaultDurationS, "with -serve: virtual seconds of offered load per operating point")
+	flag.Float64Var(&cfg.SLOMicros, "slo", 0, "with -serve: latency SLO in microseconds; 0 derives 4x each cell's mean service time")
 	pipeline := cpu.PipelineFast
 	flag.Func("pipeline", "execution pipeline of every machine: fast (decode cache, micro-TLB fastpaths, traces), reference (the Step interpreter, every host-side layer off) or audit (fast, with every cached-block and trace replay cross-checked against its static proof; summary on stderr, nonzero exit on any divergence); rows are byte-identical on every pipeline (default fast)",
 		func(s string) (err error) {
@@ -85,18 +90,11 @@ func main() {
 			return err
 		})
 	flag.Parse()
-	csvOut = *csvDir
-	jsonOut = *jsonMode
-	invariants = *invar
-	backendSel = *backend
-	serveOn = *serveF
-	serveArrival = *arrivalF
-	serveRPS = *rpsF
-	serveDur = *durF
-	serveSLO = *sloF
-	serveOutPath = *serveOut
+	cfg.Mem = cfg.Mem || *all
+	cfg.Suites = suitesFromFlags(*table, *figure, *pentest, *ablation, *all,
+		cfg.Invariants, cfg.Backend != "", *serveF)
 	cpu.SetPipelineDefault(pipeline)
-	fleet = workload.NewFleet(*parallel)
+	b := &bench{fleet: workload.NewFleet(cfg.Parallel), json: *jsonMode, csvDir: *csvDir}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -108,13 +106,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := dispatch(*table, *figure, *mem, *pentest, *ablation, *all, *iters,
-		*parallel, *record, *replayP, *chaosN, *chaosSd, *chaosOut)
+	err := b.dispatch(cfg, *record, *replayP, *chaosN, *chaosSd, *chaosOut)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
-	if err == nil && serveOutPath != "" {
-		err = writeServeOut(serveOutPath)
+	if err == nil && *serveOut != "" {
+		err = writeServeOut(*serveOut, b.serveCells)
 	}
 	if err == nil && *memProf != "" {
 		err = writeMemProfile(*memProf)
@@ -146,10 +143,24 @@ func reportProofAudit() error {
 	return nil
 }
 
+// bench is where a run's rows come from and go to: the fleet that shards
+// every sweep's measurement cells (results are collected by cell index, so
+// output ordering never depends on the width), the output format, and the
+// rows and serve cells collected along the way.
+type bench struct {
+	fleet  *workload.Fleet
+	json   bool   // line-delimited JSON instead of tables
+	csvDir string // when set, receives one CSV file per figure/platform
+
+	// capture, when non-nil, accumulates every emitted JSON row for the
+	// journal (-record) or the byte-identity comparison (-replay).
+	capture    []string
+	serveCells []serve.Cell // every serve cell run, for -serveout
+}
+
 // dispatch routes between the measurement path (optionally recorded), a
 // journal replay, and a chaos sweep.
-func dispatch(table, figure int, mem, pentest, ablation, all bool, iters,
-	parallel int, record, replayPath string,
+func (b *bench) dispatch(cfg replay.RunConfig, record, replayPath string,
 	chaosN int, chaosSeed int64, chaosOut string) error {
 	modes := 0
 	for _, on := range []bool{record != "", replayPath != "", chaosN > 0} {
@@ -157,62 +168,35 @@ func dispatch(table, figure int, mem, pentest, ablation, all bool, iters,
 			modes++
 		}
 	}
-	if modes > 1 {
+	switch {
+	case modes > 1:
 		return fmt.Errorf("-record, -replay and -chaos are mutually exclusive")
+	case chaosN > 0:
+		return b.runChaos(chaosN, chaosSeed, chaosOut)
+	case replayPath != "":
+		return b.runReplay(replayPath)
+	case record != "":
+		return b.runRecord(record, cfg)
 	}
-	if chaosN > 0 {
-		return runChaos(chaosN, chaosSeed, chaosOut)
-	}
-	if replayPath != "" {
-		return runReplay(replayPath)
-	}
-	spec := runSpec{
-		suites: suitesFromFlags(table, figure, pentest, ablation, all),
-		iters:  iters,
-		mem:    mem || all,
-	}
-	if record != "" {
-		return runRecord(record, spec, parallel)
-	}
-	return run(spec)
+	return b.run(cfg)
 }
 
-// runRecord executes the run with row capture and input recording on, then
-// seals everything into a journal.
-func runRecord(path string, spec runSpec, parallel int) error {
-	if len(spec.suites) == 0 {
+// runRecord executes cfg with row capture on, then seals the config and the
+// rows into a journal.
+func (b *bench) runRecord(path string, cfg replay.RunConfig) error {
+	if len(cfg.Suites) == 0 {
 		return fmt.Errorf("-record needs at least one suite (e.g. -all)")
 	}
-	jsonOut = true
-	capture = []string{}
-	source = replay.NewRecording()
-	if err := run(spec); err != nil {
+	b.json = true
+	b.capture = []string{}
+	if err := b.run(cfg); err != nil {
 		return err
 	}
-	if err := source.Err(); err != nil {
-		return err
+	// The serve settings are recorded only for runs that used them.
+	if !slices.Contains(cfg.Suites, "serve") {
+		cfg.Arrival, cfg.RPS, cfg.DurationS, cfg.SLOMicros = "", 0, 0, 0
 	}
-	j := &replay.Journal{
-		Version: replay.Version,
-		Kind:    replay.KindBench,
-		Config: replay.RunConfig{
-			Suites:     spec.suites,
-			Iters:      spec.iters,
-			Mem:        spec.mem,
-			Seed:       workload.Table5Seed,
-			Parallel:   parallel,
-			Invariants: invariants,
-			Backend:    backendSel,
-		},
-	}
-	if serveOn {
-		j.Config.Arrival = serveArrival
-		j.Config.RPS = serveRPS
-		j.Config.DurationS = serveDur
-		j.Config.SLOMicros = serveSLO
-	}
-	j.Inputs = source.Inputs()
-	j.Rows = capture
+	j := &replay.Journal{Version: replay.Version, Kind: replay.KindBench, Config: cfg, Rows: b.capture}
 	j.Seal()
 	if err := j.Write(path); err != nil {
 		return err
@@ -221,10 +205,10 @@ func runRecord(path string, spec runSpec, parallel int) error {
 	return nil
 }
 
-// runReplay re-executes a journal's suites under its recorded inputs and
-// compares the emitted rows byte for byte. The current -parallel width and
-// -pipeline are deliberately kept: a journal must replay identically on any.
-func runReplay(path string) error {
+// runReplay re-runs a journal's recorded config and compares the emitted
+// rows byte for byte. The current -parallel width and -pipeline are
+// deliberately kept: a journal must replay identically on any.
+func (b *bench) runReplay(path string) error {
 	j, err := replay.ReadJournal(path)
 	if err != nil {
 		return err
@@ -232,40 +216,24 @@ func runReplay(path string) error {
 	if j.Kind != replay.KindBench {
 		return fmt.Errorf("%s: journal kind %q; lzbench replays bench journals (use lzreplay for %q)", path, j.Kind, j.Kind)
 	}
-	jsonOut = true
-	invariants = j.Config.Invariants
-	// The backend selector is part of the recorded boundary: a journal whose
-	// suites include the comparison matrix replays it at the same scope.
-	backendSel = j.Config.Backend
-	// Likewise the serve-harness settings; the keyed inputs cross-check them.
-	for _, s := range j.Config.Suites {
-		if s == "serve" {
-			serveOn = true
-			serveArrival = j.Config.Arrival
-			serveRPS = j.Config.RPS
-			serveDur = j.Config.DurationS
-			serveSLO = j.Config.SLOMicros
-		}
+	if j.Config.Seed != workload.Table5Seed {
+		return fmt.Errorf("%s: journal recorded workload seed %d, this build uses %d", path, j.Config.Seed, workload.Table5Seed)
 	}
-	capture = []string{}
-	source = replay.NewReplaying(j.Inputs)
-	spec := runSpec{suites: j.Config.Suites, iters: j.Config.Iters, mem: j.Config.Mem}
-	if err := run(spec); err != nil {
+	b.json = true
+	b.capture = []string{}
+	if err := b.run(j.Config); err != nil {
 		return err
 	}
-	if err := source.Err(); err != nil {
-		return err
-	}
-	diffs := replay.DiffRows(j.Rows, capture, 10)
+	diffs := replay.DiffRows(j.Rows, b.capture, 10)
 	if len(diffs) > 0 {
 		fmt.Fprintf(os.Stderr, "lzbench: replay DIVERGED from %s: %d of %d recorded rows differ (first %d shown)\n",
-			path, countDiffs(j.Rows, capture), len(j.Rows), len(diffs))
+			path, countDiffs(j.Rows, b.capture), len(j.Rows), len(diffs))
 		for _, d := range diffs {
 			fmt.Fprintf(os.Stderr, "  row %d:\n    recorded: %s\n    replayed: %s\n", d.Index, d.A, d.B)
 		}
 		return fmt.Errorf("replay diverged")
 	}
-	fmt.Fprintf(os.Stderr, "lzbench: replay of %s byte-identical (%d rows)\n", path, len(capture))
+	fmt.Fprintf(os.Stderr, "lzbench: replay of %s byte-identical (%d rows)\n", path, len(b.capture))
 	return nil
 }
 
@@ -276,15 +244,15 @@ func countDiffs(a, b []string) int {
 // runChaos derives and runs the fault-injection sweep. Every case must land
 // in its injection's expectation class; each failing case is journalled for
 // standalone replay when -chaosout is set.
-func runChaos(n int, seed int64, outDir string) error {
-	results, err := replay.ChaosSweep(fleet, n, seed)
+func (b *bench) runChaos(n int, seed int64, outDir string) error {
+	results, err := replay.ChaosSweep(b.fleet, n, seed)
 	if err != nil {
 		return err
 	}
 	failed := 0
 	for _, r := range results {
-		if jsonOut {
-			if err := emitJSON(map[string]any{
+		if b.json {
+			if err := b.emit(map[string]any{
 				"kind": "chaos", "case": r.Case, "scenario": r.Scenario,
 				"injection": r.Injection, "expect": r.Expect, "outcome": r.Outcome,
 				"applied": r.Applied, "pass": r.Pass, "delta": r.Delta, "failure": r.Failure,
@@ -322,7 +290,7 @@ func runChaos(n int, seed int64, outDir string) error {
 	if failed > 0 {
 		return fmt.Errorf("chaos sweep: %d of %d cases diverged silently or missed their expectation class", failed, n)
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Printf("chaos sweep: all %d cases landed in their expectation class\n", n)
 	}
 	return nil
@@ -338,21 +306,8 @@ func writeMemProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// fleet shards every sweep's measurement cells across workers; results are
-// collected by cell index, so output ordering never depends on the width.
-var fleet *workload.Fleet
-
-// runSpec names the suites to execute, in the canonical emission order
-// suitesFromFlags produces. Replays rebuild it from the journal instead of
-// the command line, so a journal is self-contained.
-type runSpec struct {
-	suites []string
-	iters  int
-	mem    bool
-}
-
 // suitesFromFlags maps the selection flags onto the ordered suite list.
-func suitesFromFlags(table, figure int, pentest, ablation, all bool) []string {
+func suitesFromFlags(table, figure int, pentest, ablation, all, invariants, backends, serveOn bool) []string {
 	var s []string
 	if all || table == 4 {
 		s = append(s, "table4")
@@ -374,7 +329,7 @@ func suitesFromFlags(table, figure int, pentest, ablation, all bool) []string {
 	if invariants {
 		s = append(s, "invariants")
 	}
-	if backendSel != "" {
+	if backends {
 		s = append(s, "backends")
 	}
 	// Deliberately opt-in only: the serve harness is continuous-load
@@ -385,121 +340,69 @@ func suitesFromFlags(table, figure int, pentest, ablation, all bool) []string {
 	return s
 }
 
-func run(spec runSpec) error {
-	if len(spec.suites) == 0 {
+// run executes cfg's suites in order. Every suite reads its settings from
+// cfg alone, so a journal's recorded config reruns the recorded rows.
+func (b *bench) run(cfg replay.RunConfig) error {
+	if len(cfg.Suites) == 0 {
 		flag.Usage()
 		return nil
 	}
-	// The cost-model axis: a replayed journal must see the same platform
-	// profile set the recording did.
-	if profs := source.Int64("platform/profiles", replay.Fixed(int64(len(arm64.Profiles())))); profs != int64(len(arm64.Profiles())) {
-		return fmt.Errorf("journal recorded %d platform profiles, this build has %d", profs, len(arm64.Profiles()))
-	}
-	for _, name := range spec.suites {
-		var fn func() error
+	for _, name := range cfg.Suites {
+		var err error
 		switch name {
 		case "table4":
-			fn = printTable4
+			err = b.printTable4()
 		case "table5":
-			// The iteration budget and workload seed are nondeterministic
-			// inputs at the journal boundary: recording pins them, replaying
-			// restores the pinned budget and cross-checks the seed against
-			// the build's constant.
-			iters := int(source.Int64("table5/iters", replay.Fixed(int64(spec.iters))))
-			seed := source.Int64("table5/seed", replay.Fixed(workload.Table5Seed))
-			if seed != workload.Table5Seed {
-				return fmt.Errorf("journal recorded table5 seed %d, this build uses %d", seed, workload.Table5Seed)
-			}
-			fn = func() error { return printTable5(iters) }
+			err = b.printTable5(cfg.Iters)
 		case "figure3", "figure4", "figure5":
-			f := int(name[len(name)-1] - '0')
-			fn = func() error { return printFigure(f, spec.mem) }
+			err = b.printFigure(int(name[len(name)-1]-'0'), cfg.Mem)
 		case "pentest":
-			fn = printPentest
+			err = b.printPentest(cfg.Invariants)
 		case "ablations":
-			fn = printAblations
+			err = b.printAblations()
 		case "invariants":
-			fn = printVerify
+			err = b.printVerify()
 		case "backends":
-			// The comparison matrix shares table 5's iteration budget; the
-			// journal pins it the same way.
-			iters := int(source.Int64("backends/iters", replay.Fixed(int64(spec.iters))))
-			fn = func() error { return printBackends(iters) }
+			// The comparison matrix shares table 5's iteration budget.
+			err = b.printBackends(cfg.Backend, cfg.Iters)
 		case "serve":
-			// Every serve setting is a nondeterministic input at the journal
-			// boundary; floats are pinned in fixed-point (milli-rps,
-			// milli-seconds, nano-seconds) so the draw is an exact int64.
-			ar, err := serve.ParseArrival(serveArrival)
-			if err != nil {
-				return err
+			var ar serve.Arrival
+			if ar, err = serve.ParseArrival(cfg.Arrival); err == nil {
+				err = b.printServe(serve.Config{Arrival: ar, RPS: cfg.RPS, DurationS: cfg.DurationS, SLOMicros: cfg.SLOMicros})
 			}
-			arrivalCode := int64(0)
-			if ar == serve.ArrivalBursty {
-				arrivalCode = 1
-			}
-			arrivalCode = source.Int64("serve/arrival", replay.Fixed(arrivalCode))
-			rps := float64(source.Int64("serve/rps_milli", replay.Fixed(int64(serveRPS*1000)))) / 1000
-			dur := float64(source.Int64("serve/duration_ms", replay.Fixed(int64(serveDur*1000)))) / 1000
-			slo := float64(source.Int64("serve/slo_ns", replay.Fixed(int64(serveSLO*1000)))) / 1000
-			queue := int(source.Int64("serve/queue", replay.Fixed(serve.DefaultQueueBound)))
-			seed := source.Int64("serve/seed", replay.Fixed(serve.DefaultSeed))
-			cfg := serve.Config{
-				Arrival:    serve.ArrivalPoisson,
-				RPS:        rps,
-				DurationS:  dur,
-				SLOMicros:  slo,
-				QueueBound: queue,
-				Seed:       seed,
-			}
-			if arrivalCode == 1 {
-				cfg.Arrival = serve.ArrivalBursty
-			}
-			fn = func() error { return printServe(cfg) }
 		default:
-			return fmt.Errorf("unknown suite %q", name)
+			err = fmt.Errorf("unknown suite %q", name)
 		}
-		if err := fn(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// jsonOut switches every printer to line-delimited JSON.
-var jsonOut bool
-
-// capture, when non-nil, accumulates every emitted JSON row for the journal
-// (-record) or the byte-identity comparison (-replay). source supplies the
-// nondeterministic draws; a nil source passes generators through untouched,
-// so plain runs are unaffected.
-var (
-	capture []string
-	source  *replay.Source
-)
-
-// emitJSON writes one self-describing result object per line; kind names
-// the table/figure so mixed -all output stays filterable with jq.
-func emitJSON(obj map[string]any) error {
-	b, err := json.Marshal(obj)
+// emit writes one self-describing result object per line; kind names the
+// table/figure so mixed -all output stays filterable with jq.
+func (b *bench) emit(obj map[string]any) error {
+	data, err := json.Marshal(obj)
 	if err != nil {
 		return err
 	}
-	if capture != nil {
-		capture = append(capture, string(b))
+	if b.capture != nil {
+		b.capture = append(b.capture, string(data))
 	}
-	_, err = fmt.Println(string(b))
+	_, err = fmt.Println(string(data))
 	return err
 }
 
-func printTable4() error {
-	perProf, err := fleet.Table4Sweep()
+func (b *bench) printTable4() error {
+	perProf, err := b.fleet.Table4Sweep()
 	if err != nil {
 		return err
 	}
-	if jsonOut {
+	if b.json {
 		for i, prof := range arm64.Profiles() {
 			for _, r := range perProf[i] {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "table4", "profile": prof.Name, "row": r.Name,
 					"cycles_lo": r.Lo, "cycles_hi": r.Hi,
 				}); err != nil {
@@ -532,16 +435,16 @@ func band(r workload.Table4Row) string {
 	return fmt.Sprintf("%d~%d", r.Lo, r.Hi)
 }
 
-func printTable5(iters int) error {
-	cells, err := fleet.Table5Sweep(iters)
+func (b *bench) printTable5(iters int) error {
+	cells, err := b.fleet.Table5Sweep(iters)
 	if err != nil {
 		return err
 	}
-	if jsonOut {
+	if b.json {
 		// Cells come back in the sweep's enumeration order, which is the
 		// historical sequential emission order.
 		for _, c := range cells {
-			if err := emitJSON(map[string]any{
+			if err := b.emit(map[string]any{
 				"kind": "table5", "platform": c.PlatformName, "variant": string(c.Variant),
 				"domains": c.Domains, "iters": iters, "avg_cycles": c.Result.AvgCycles,
 			}); err != nil {
@@ -592,34 +495,34 @@ func printTable5(iters int) error {
 	return nil
 }
 
-func printFigure(f int, withMem bool) error {
+func (b *bench) printFigure(f int, withMem bool) error {
 	names := map[int]string{
 		3: "Figure 3: Nginx HTTPS throughput (1 worker, 1KB file)",
 		4: "Figure 4: MySQL sysbench OLTP read-write throughput",
 		5: "Figure 5: NVM data-structure benchmark time overhead",
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Println(names[f])
 	}
-	cells, err := fleet.FigureSweep(f)
+	cells, err := b.fleet.FigureSweep(f)
 	if err != nil {
 		return err
 	}
 	for _, cell := range cells {
 		plat := cell.Platform
-		if !jsonOut {
+		if !b.json {
 			fmt.Printf("  %s:\n", plat)
 		}
 		switch f {
 		case 3, 4:
 			series := cell.Series
-			if err := writeFigureCSV(f, plat, series); err != nil {
+			if err := b.writeFigureCSV(f, plat, series); err != nil {
 				return err
 			}
-			if jsonOut {
+			if b.json {
 				for _, s := range series {
 					for _, pt := range s.Points {
-						if err := emitJSON(map[string]any{
+						if err := b.emit(map[string]any{
 							"kind": "figure", "figure": f, "platform": plat.String(),
 							"variant": string(s.Variant), "x": pt.X,
 							"throughput": pt.Tput, "overhead_pct": s.OverheadPct,
@@ -646,13 +549,13 @@ func printFigure(f int, withMem bool) error {
 			w.Flush()
 		case 5:
 			series := cell.NVM
-			if err := writeNVMCSV(plat, series); err != nil {
+			if err := b.writeNVMCSV(plat, series); err != nil {
 				return err
 			}
-			if jsonOut {
+			if b.json {
 				for _, s := range series {
 					for i, d := range workload.NVMDomainCounts {
-						if err := emitJSON(map[string]any{
+						if err := b.emit(map[string]any{
 							"kind": "figure", "figure": f, "platform": plat.String(),
 							"variant": string(s.Variant), "domains": d,
 							"overhead_pct": s.OverheadPct[i],
@@ -694,8 +597,8 @@ func printFigure(f int, withMem bool) error {
 		if err != nil {
 			return err
 		}
-		if jsonOut {
-			return emitJSON(map[string]any{
+		if b.json {
+			return b.emit(map[string]any{
 				"kind": "memory", "figure": f, "platform": plat.String(),
 				"baseline_bytes": m.BaselineBytes, "frag_pct": m.FragPct,
 				"pan_pt_pct": m.PANPTPct, "ttbr_pt_pct": m.TTBRPTPct,
@@ -704,24 +607,26 @@ func printFigure(f int, withMem bool) error {
 		fmt.Printf("  memory: baseline %.1fMB, fragmentation/app overhead %.1f%%, page tables PAN %.1f%% / TTBR %.1f%%\n",
 			float64(m.BaselineBytes)/(1<<20), m.FragPct, m.PANPTPct, m.TTBRPTPct)
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Println()
 	}
 	return nil
 }
 
-func printPentest() error {
-	if !jsonOut {
+// printPentest runs the dynamic attack battery, and with invariants the
+// planted-attack battery that the static verifier must catch.
+func (b *bench) printPentest(invariants bool) error {
+	if !b.json {
 		fmt.Println("Penetration tests (7.2): 128 protected domains")
 	}
 	for _, plat := range workload.AllPlatforms() {
-		results, err := fleet.PentestSweep(plat)
+		results, err := b.fleet.PentestSweep(plat)
 		if err != nil {
 			return err
 		}
-		if jsonOut {
+		if b.json {
 			for _, r := range results {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "pentest", "platform": plat.String(), "attack": r.Attack,
 					"blocked": r.Blocked, "detail": r.Detail,
 				}); err != nil {
@@ -743,36 +648,30 @@ func printPentest() error {
 		}
 	}
 	if invariants {
-		if err := printPlanted(); err != nil {
+		if err := b.printPlanted(); err != nil {
 			return err
 		}
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Println()
 	}
 	return nil
 }
 
-// invariants switches the verification lanes on: chokepoint-monitored clean
-// runs after the benchmarks, and the planted-attack battery with -pentest.
-// Off (the default) every emitted byte is identical to a build without the
-// verifier.
-var invariants bool
-
 // printVerify re-runs the clean Table 5 machines with the static invariant
 // verifier attached to every mutation chokepoint.
-func printVerify() error {
-	if !jsonOut {
+func (b *bench) printVerify() error {
+	if !b.json {
 		fmt.Println("Static invariant verification (chokepoint-monitored clean machines)")
 	}
 	for _, plat := range workload.AllPlatforms() {
-		results, err := fleet.VerifySweep(plat)
+		results, err := b.fleet.VerifySweep(plat)
 		if err != nil {
 			return err
 		}
-		if jsonOut {
+		if b.json {
 			for _, r := range results {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "verify", "platform": plat.String(), "config": r.Name,
 					"invariant_runs": r.InvariantRuns, "findings": r.Findings,
 				}); err != nil {
@@ -786,43 +685,26 @@ func printVerify() error {
 			fmt.Printf("    %-10s %3d invariant runs, %d findings\n", r.Name, r.InvariantRuns, r.Findings)
 		}
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Println()
 	}
 	return nil
 }
 
-// backendSel selects the isolation-backend comparison matrix: a backend
-// name restricts the matrix to that backend, "all" measures every
-// registered backend side by side. Empty (the default) skips the suite.
-var backendSel string
-
-// Serve-harness selection (flag-fed in plain runs, journal-fed in replays)
-// and the cells collected for -serveout.
-var (
-	serveOn      bool
-	serveArrival string
-	serveRPS     float64
-	serveDur     float64
-	serveSLO     float64
-	serveOutPath string
-	serveCells   []serve.Cell
-)
-
 // printServe runs the always-on service harness: one fleet cell per
 // (app, zone-id regime), each calibrated on private emulated machines and
 // churned through the real lz_alloc/lz_free paths, then simulated across
 // its operating points in virtual time.
-func printServe(cfg serve.Config) error {
+func (b *bench) printServe(cfg serve.Config) error {
 	cfg.Platform = workload.Table5Platforms()[0].Plat // Carmel Host
-	cells, err := serve.Sweep(fleet, cfg, serve.DefaultSpecs())
+	cells, err := serve.Sweep(b.fleet, cfg, serve.DefaultSpecs())
 	if err != nil {
 		return err
 	}
-	serveCells = append(serveCells, cells...)
-	if jsonOut {
+	b.serveCells = append(b.serveCells, cells...)
+	if b.json {
 		for _, c := range cells {
-			if err := emitJSON(map[string]any{
+			if err := b.emit(map[string]any{
 				"kind": "serve-cell", "machine": c.Machine, "app": c.App,
 				"regime": c.Regime, "live_zones": c.LiveZones,
 				"base_cycles": c.BaseCycles, "churn_pair_cycles": c.PairCycles,
@@ -834,7 +716,7 @@ func printServe(cfg serve.Config) error {
 				return err
 			}
 			for _, r := range c.Rows {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "serve", "machine": c.Machine, "app": r.App,
 					"regime": r.Regime, "arrival": string(r.Arrival), "policy": r.Policy,
 					"offered_rps": r.OfferedRPS, "utilization": r.Utilization,
@@ -872,31 +754,32 @@ func printServe(cfg serve.Config) error {
 // writeServeOut writes the collected serve cells (calibration, churn
 // pressure, every operating-point row) as indented JSON — the committed
 // BENCH_PR7.json trajectory is one such file.
-func writeServeOut(path string) error {
-	b, err := json.MarshalIndent(serveCells, "", "  ")
+func writeServeOut(path string, cells []serve.Cell) error {
+	data, err := json.MarshalIndent(cells, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // printBackends measures the cross-backend comparison matrix on the Table 5
 // platforms: domain-switch cycles at every Table 5 domain count, the
 // per-page lz_mprotect cost, and the lz-syscall roundtrip, per backend.
-func printBackends(iters int) error {
-	backends, err := workload.ResolveBackends(backendSel)
+// sel is a backend name or "all".
+func (b *bench) printBackends(sel string, iters int) error {
+	backends, err := workload.ResolveBackends(sel)
 	if err != nil {
 		return err
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Printf("Backend comparison: cycles per operation (%d switch iterations)\n", iters)
 	}
 	for _, row := range workload.Table5Platforms() {
-		m, err := fleet.BackendSweep(row.Plat, backends, iters)
+		m, err := b.fleet.BackendSweep(row.Plat, backends, iters)
 		if err != nil {
 			return err
 		}
-		if jsonOut {
+		if b.json {
 			for _, c := range m.Cells {
 				obj := map[string]any{
 					"kind": "backend", "platform": m.Machine,
@@ -905,7 +788,7 @@ func printBackends(iters int) error {
 				if c.Domains > 0 {
 					obj["domains"] = c.Domains
 				}
-				if err := emitJSON(obj); err != nil {
+				if err := b.emit(obj); err != nil {
 					return err
 				}
 			}
@@ -918,16 +801,16 @@ func printBackends(iters int) error {
 			fmt.Fprintf(w, "\tswitch d=%d", d)
 		}
 		fmt.Fprintln(w, "\tmprotect/page\tsyscall")
-		for _, b := range backends {
-			fmt.Fprintf(w, "    %s", b)
+		for _, be := range backends {
+			fmt.Fprintf(w, "    %s", be)
 			for _, c := range m.Cells {
-				if c.Backend == b && c.Metric == "switch" {
+				if c.Backend == be && c.Metric == "switch" {
 					fmt.Fprintf(w, "\t%.1f", c.Cycles)
 				}
 			}
 			for _, metric := range []string{"mprotect-page", "syscall"} {
 				for _, c := range m.Cells {
-					if c.Backend == b && c.Metric == metric {
+					if c.Backend == be && c.Metric == metric {
 						fmt.Fprintf(w, "\t%.1f", c.Cycles)
 					}
 				}
@@ -936,7 +819,7 @@ func printBackends(iters int) error {
 		}
 		w.Flush()
 	}
-	if !jsonOut {
+	if !b.json {
 		fmt.Println()
 	}
 	return nil
@@ -945,18 +828,18 @@ func printBackends(iters int) error {
 // printPlanted runs the static half of the attack battery: every planted
 // violation must be reported by its designated checker at the planted VA
 // before any dynamic trap would see it.
-func printPlanted() error {
-	if !jsonOut {
+func (b *bench) printPlanted() error {
+	if !b.json {
 		fmt.Println("  static detection (planted attacks, caught before any dynamic trap):")
 	}
 	for _, plat := range workload.AllPlatforms() {
-		results, err := fleet.PlantedSweep(plat)
+		results, err := b.fleet.PlantedSweep(plat)
 		if err != nil {
 			return err
 		}
-		if jsonOut {
+		if b.json {
 			for _, r := range results {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "planted", "platform": plat.String(), "attack": r.Name,
 					"checker": r.Checker, "va": fmt.Sprintf("%#x", r.VA), "caught": r.Caught,
 				}); err != nil {
@@ -973,15 +856,15 @@ func printPlanted() error {
 	return nil
 }
 
-func printAblations() error {
-	if jsonOut {
+func (b *bench) printAblations() error {
+	if b.json {
 		for _, prof := range arm64.Profiles() {
-			results, err := fleet.AblationSweep(prof)
+			results, err := b.fleet.AblationSweep(prof)
 			if err != nil {
 				return err
 			}
 			for _, r := range results {
-				if err := emitJSON(map[string]any{
+				if err := b.emit(map[string]any{
 					"kind": "ablation", "profile": prof.Name, "optimization": r.Name,
 					"metric": r.Metric, "optimized": r.Optimized, "ablated": r.Ablated,
 					"slowdown": r.Factor(),
@@ -996,7 +879,7 @@ func printAblations() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  profile\toptimization\tmetric\toptimized\tablated\tslowdown")
 	for _, prof := range arm64.Profiles() {
-		results, err := fleet.AblationSweep(prof)
+		results, err := b.fleet.AblationSweep(prof)
 		if err != nil {
 			return err
 		}
@@ -1010,15 +893,12 @@ func printAblations() error {
 	return nil
 }
 
-// csvOut, when set, receives one CSV file per figure/platform.
-var csvOut string
-
-func writeFigureCSV(figure int, plat workload.Platform, series []workload.FigureSeries) error {
-	if csvOut == "" {
+func (b *bench) writeFigureCSV(figure int, plat workload.Platform, series []workload.FigureSeries) error {
+	if b.csvDir == "" {
 		return nil
 	}
 	name := fmt.Sprintf("figure%d_%s.csv", figure, strings.ReplaceAll(plat.String(), " ", "_"))
-	f, err := os.Create(csvOut + "/" + name)
+	f, err := os.Create(b.csvDir + "/" + name)
 	if err != nil {
 		return err
 	}
@@ -1038,12 +918,12 @@ func writeFigureCSV(figure int, plat workload.Platform, series []workload.Figure
 	return nil
 }
 
-func writeNVMCSV(plat workload.Platform, series []workload.NVMSeries) error {
-	if csvOut == "" {
+func (b *bench) writeNVMCSV(plat workload.Platform, series []workload.NVMSeries) error {
+	if b.csvDir == "" {
 		return nil
 	}
 	name := fmt.Sprintf("figure5_%s.csv", strings.ReplaceAll(plat.String(), " ", "_"))
-	f, err := os.Create(csvOut + "/" + name)
+	f, err := os.Create(b.csvDir + "/" + name)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,81 @@
+package main
+
+import (
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"lightzone/internal/replay"
+	"lightzone/internal/workload"
+)
+
+func newBench(width int) *bench { return &bench{fleet: workload.NewFleet(width)} }
+
+// A recorded run replays byte-identically at another fleet width, and the
+// journal carries the config the run was given.
+func TestRecordThenReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table5.journal")
+	cfg := replay.RunConfig{
+		Suites: []string{"table5"}, Iters: 200, Seed: workload.Table5Seed, Parallel: 2,
+		Arrival: "poisson", DurationS: 1, // serve settings of a run without the serve suite
+	}
+	rec := newBench(2)
+	if err := rec.runRecord(path, cfg); err != nil {
+		t.Fatal(err)
+	}
+	j, err := replay.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := replay.RunConfig{Suites: []string{"table5"}, Iters: 200, Seed: workload.Table5Seed, Parallel: 2}
+	if !slices.Equal(j.Config.Suites, want.Suites) || j.Config.Iters != want.Iters ||
+		j.Config.Seed != want.Seed || j.Config.Parallel != want.Parallel ||
+		j.Config.Arrival != "" || j.Config.DurationS != 0 {
+		t.Errorf("journal config = %+v, want %+v", j.Config, want)
+	}
+	if len(j.Rows) == 0 || !slices.Equal(j.Rows, rec.capture) {
+		t.Fatalf("journal holds %d rows, run emitted %d", len(j.Rows), len(rec.capture))
+	}
+	rep := newBench(1)
+	if err := rep.runReplay(path); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.capture, j.Rows) {
+		t.Error("replayed rows differ from the recorded rows")
+	}
+}
+
+// The committed journals predate the config-only format: they still carry
+// an "inputs" section, which reading ignores.
+func TestReplayCommittedJournals(t *testing.T) {
+	for _, name := range []string{"seed_pr6.journal", "serve_pr7.journal"} {
+		t.Run(name, func(t *testing.T) {
+			if err := newBench(2).runReplay(filepath.Join("..", "..", "testdata", name)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestReplayRejectsForeignSeed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "foreign.journal")
+	j := &replay.Journal{
+		Version: replay.Version,
+		Kind:    replay.KindBench,
+		Config:  replay.RunConfig{Suites: []string{"table5"}, Iters: 200, Seed: workload.Table5Seed + 1, Parallel: 1},
+		Rows:    []string{`{"kind":"table5"}`},
+	}
+	j.Seal()
+	if err := j.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	b := newBench(1)
+	err := b.runReplay(path)
+	if err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Fatalf("replay of a foreign-seed journal: err = %v", err)
+	}
+	if len(b.capture) != 0 {
+		t.Error("a foreign-seed journal ran its suites")
+	}
+}

@@ -85,10 +85,6 @@ func doInspect(w io.Writer, path string) error {
 		fmt.Fprintf(w, "  suites:   %v\n", j.Config.Suites)
 		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d invariants=%v\n",
 			j.Config.Iters, j.Config.Seed, j.Config.Parallel, j.Config.Invariants)
-		fmt.Fprintf(w, "  inputs:   %d recorded draws\n", len(j.Inputs))
-		for _, in := range j.Inputs {
-			fmt.Fprintf(w, "    %-24s %d\n", in.Key, in.Value)
-		}
 		fmt.Fprintf(w, "  rows:     %d (sha256 %.16s…)\n", len(j.Rows), j.RowsSHA)
 	case replay.KindChaos:
 		c := j.Chaos

@@ -14,7 +14,6 @@ func benchJournal(t *testing.T, dir, name string, rows []string) string {
 		Version: replay.Version,
 		Kind:    replay.KindBench,
 		Config:  replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2},
-		Inputs:  []replay.Input{{Key: "table5/iters", Value: 100}},
 		Rows:    rows,
 	}
 	j.Seal()
@@ -33,7 +32,7 @@ func TestInspectBenchJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"valid bench journal", "table5", "2 (sha256", "table5/iters"} {
+	for _, want := range []string{"valid bench journal", "table5", "2 (sha256", "iters=100"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out)
 		}

@@ -291,3 +291,21 @@ func testAllocUnwinds(t *testing.T, backend string, prior int, top bool) {
 		t.Error("no failure reached the TTBRTab page allocation")
 	}
 }
+
+// lz_prot over a range that runs past the last page of a mapping fails
+// with a plain "no kernel mapping" error, not a wrapped nil.
+func TestProtPastMappingFailsCleanly(t *testing.T) {
+	lp := newExhaustionProc(t, "lightzone")
+	zone, err := lp.backend.Alloc(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := mem.VA(exhaustionHeapBase + (exhaustionHeapPages-1)*mem.PageSize)
+	err = lp.Prot(last, 2*mem.PageSize, zone, PermRead|PermWrite)
+	if err == nil {
+		t.Fatal("lz_prot past the end of the heap succeeded")
+	}
+	if msg := err.Error(); strings.Contains(msg, "%!") || !strings.Contains(msg, "no kernel mapping") {
+		t.Errorf("lz_prot error = %q", msg)
+	}
+}

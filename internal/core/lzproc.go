@@ -436,8 +436,11 @@ func (lp *LZProc) kernelFrame(va mem.VA) (mem.PA, uint64, uint64, error) {
 	}
 	if !res.Found {
 		ok, err := as.DemandMap(va)
-		if err != nil || !ok {
-			return 0, 0, 0, fmt.Errorf("no kernel mapping for %v: %w", va, err)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("demand map %v: %w", va, err)
+		}
+		if !ok {
+			return 0, 0, 0, fmt.Errorf("no kernel mapping for %v", va)
 		}
 		res, err = as.S1.Walk(va)
 		if err != nil || !res.Found {

@@ -112,7 +112,9 @@ func (as *AddressSpace) RemoveVMA(start, end mem.VA) error {
 	if uint64(start)&mem.PageMask != 0 {
 		return fmt.Errorf("unaligned munmap start %v", start)
 	}
-	kept := as.vmas[:0]
+	// A fresh slice: splitting a VMA keeps two entries for one, so an
+	// in-place filter would overwrite the next VMA before reading it.
+	kept := make([]VMA, 0, len(as.vmas)+1)
 	for _, v := range as.vmas {
 		switch {
 		case v.End <= start || v.Start >= end:

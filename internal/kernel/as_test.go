@@ -99,6 +99,44 @@ func TestRemoveVMASplitsRegions(t *testing.T) {
 	}
 }
 
+// A hole punched in the middle of the first VMA splits it in two; the
+// VMAs after it must survive the split.
+func TestRemoveVMASplitKeepsLaterVMAs(t *testing.T) {
+	as := newTestAS(t)
+	for _, v := range []VMA{
+		{Start: 0x10000, End: 0x14000, Prot: ProtRead, Name: "a"},
+		{Start: 0x20000, End: 0x22000, Prot: ProtRead, Name: "b"},
+		{Start: 0x30000, End: 0x32000, Prot: ProtRead, Name: "c"},
+	} {
+		if err := as.AddVMA(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.RemoveVMA(0x11000, 0x12000); err != nil {
+		t.Fatal(err)
+	}
+	want := []VMA{
+		{Start: 0x10000, End: 0x11000, Prot: ProtRead, Name: "a"},
+		{Start: 0x12000, End: 0x14000, Prot: ProtRead, Name: "a"},
+		{Start: 0x20000, End: 0x22000, Prot: ProtRead, Name: "b"},
+		{Start: 0x30000, End: 0x32000, Prot: ProtRead, Name: "c"},
+	}
+	got := as.VMAs()
+	if len(got) != len(want) {
+		t.Fatalf("VMAs after split = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("VMA %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for _, va := range []mem.VA{0x21000, 0x31000} {
+		if as.FindVMA(va) == nil {
+			t.Errorf("VMA at %v lost by the split", va)
+		}
+	}
+}
+
 func TestRemoveVMATrimsEdges(t *testing.T) {
 	as := newTestAS(t)
 	if err := as.AddVMA(VMA{Start: 0x10000, End: 0x14000, Prot: ProtRead}); err != nil {

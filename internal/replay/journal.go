@@ -1,9 +1,9 @@
 // Package replay implements LightZone's deterministic record/replay and
-// chaos fault-injection engine. Recording captures every nondeterministic
-// input at its boundary — workload RNG seeds, iteration budgets, platform
-// and cost-model selection, fleet width — into a compact versioned journal
-// together with the run's emitted rows; replaying a journal re-executes the
-// run under the recorded inputs and proves the output byte-identical. The
+// chaos fault-injection engine. Recording stores a bench run's
+// configuration — suites, iteration budget, workload seed, backend scope,
+// serve settings, fleet width — in a compact versioned journal together with
+// the run's emitted rows; replaying a journal re-runs the recorded
+// configuration and proves the output byte-identical. The
 // chaos engine perturbs replays at the architecture's chokepoints (TLB
 // eviction and pressure, spurious guest TLBI, ASID/PAN flips, block-cache
 // cohort eviction, gate/GateTab tamper) and asserts that every injection
@@ -37,11 +37,9 @@ type Journal struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 
-	// Config captures the boundary inputs of a bench run.
+	// Config is the whole description of a bench run: replaying it reruns
+	// the recorded rows.
 	Config RunConfig `json:"config,omitempty"`
-	// Inputs are the keyed nondeterministic draws consumed during
-	// recording, sorted by key (see Source).
-	Inputs []Input `json:"inputs,omitempty"`
 
 	// Rows are the emitted JSON result lines of a bench run; RowsSHA is
 	// their chained digest, so `lzreplay -inspect` can validate a journal
@@ -53,11 +51,13 @@ type Journal struct {
 	Fuzz  *FuzzCase  `json:"fuzz,omitempty"`
 }
 
-// RunConfig is the boundary configuration of a recorded lzbench run.
-// Parallel is informational: replays must produce identical rows at any
-// fleet width, so the replayer deliberately does not restore it. The
-// execution pipeline is not recorded at all, for the same reason: rows are
-// identical on every pipeline.
+// RunConfig describes one lzbench run: lzbench parses its flags into one,
+// records it, and replays it. Seed is the Table 5 workload seed the run
+// used; a replaying build checks it against its own. Parallel is
+// informational: replays must produce identical rows at any fleet width,
+// so the replayer deliberately does not restore it. The execution pipeline
+// is not recorded at all, for the same reason: rows are identical on every
+// pipeline.
 type RunConfig struct {
 	Suites     []string `json:"suites"`
 	Iters      int      `json:"iters"`
@@ -67,19 +67,12 @@ type RunConfig struct {
 	Invariants bool     `json:"invariants,omitempty"`
 	Backend    string   `json:"backend,omitempty"` // isolation-backend matrix scope ("", name, or "all")
 
-	// Serve-harness boundary inputs (set only when the suites include
-	// "serve"). The replayer restores them and the keyed inputs cross-check
-	// them, the same belt-and-braces the backend selector uses.
+	// Serve-harness settings (recorded only when the suites include
+	// "serve").
 	Arrival   string  `json:"arrival,omitempty"`
 	RPS       float64 `json:"rps,omitempty"`
 	DurationS float64 `json:"duration_s,omitempty"`
 	SLOMicros float64 `json:"slo_us,omitempty"`
-}
-
-// Input is one keyed nondeterministic draw.
-type Input struct {
-	Key   string `json:"key"`
-	Value int64  `json:"value"`
 }
 
 // ChaosCase pins one fault-injection case: the scenario it ran against and

@@ -11,7 +11,6 @@ func TestJournalSealValidateRoundTrip(t *testing.T) {
 		Version: Version,
 		Kind:    KindBench,
 		Config:  RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 4},
-		Inputs:  []Input{{Key: "table5/seed", Value: 42}},
 		Rows:    []string{`{"suite":"table5","cell":0}`, `{"suite":"table5","cell":1}`},
 	}
 	j.Seal()
@@ -68,61 +67,6 @@ func TestDiffRows(t *testing.T) {
 	}
 	if got := DiffRows(a, a, 10); len(got) != 0 {
 		t.Errorf("equal rows diffed: %+v", got)
-	}
-}
-
-func TestSourceRecordThenReplay(t *testing.T) {
-	rec := NewRecording()
-	if got := rec.Int64("seed/a", Fixed(7)); got != 7 {
-		t.Fatalf("draw = %d", got)
-	}
-	// Repeat draws return the pinned value, not the new generator's.
-	if got := rec.Int64("seed/a", Fixed(99)); got != 7 {
-		t.Errorf("repeat draw = %d, want pinned 7", got)
-	}
-	rec.Int64("seed/b", Fixed(11))
-	if err := rec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	ins := rec.Inputs()
-	if len(ins) != 2 || ins[0].Key != "seed/a" || ins[1].Key != "seed/b" {
-		t.Fatalf("inputs not sorted by key: %+v", ins)
-	}
-
-	rep := NewReplaying(ins)
-	if !rep.Replaying() {
-		t.Fatal("not replaying")
-	}
-	// Replay ignores the generator entirely.
-	if got := rep.Int64("seed/a", Fixed(1234)); got != 7 {
-		t.Errorf("replayed draw = %d, want 7", got)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// A key the journal never saw falls back to the generator and is
-	// reported by Err.
-	if got := rep.Int64("seed/new", Fixed(5)); got != 5 {
-		t.Errorf("fallback draw = %d", got)
-	}
-	if err := rep.Err(); err == nil {
-		t.Error("missing replay key not reported")
-	}
-}
-
-func TestSourceNilSafe(t *testing.T) {
-	var s *Source
-	if s.Replaying() {
-		t.Error("nil source claims replaying")
-	}
-	if got := s.Int64("k", Fixed(3)); got != 3 {
-		t.Errorf("nil source draw = %d", got)
-	}
-	if err := s.Err(); err != nil {
-		t.Error(err)
-	}
-	if ins := s.Inputs(); ins != nil {
-		t.Errorf("nil source inputs: %+v", ins)
 	}
 }
 
