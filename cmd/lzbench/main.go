@@ -90,6 +90,10 @@ func main() {
 			return err
 		})
 	flag.Parse()
+	if *serveOut != "" && !*serveF {
+		fmt.Fprintln(os.Stderr, "lzbench: -serveout writes the serve cells, so it needs -serve")
+		os.Exit(1)
+	}
 	cfg.Mem = cfg.Mem || *all
 	cfg.Suites = suitesFromFlags(*table, *figure, *pentest, *ablation, *all,
 		cfg.Invariants, cfg.Backend != "", *serveF)
@@ -833,7 +837,7 @@ func (b *bench) printPlanted() error {
 		fmt.Println("  static detection (planted attacks, caught before any dynamic trap):")
 	}
 	for _, plat := range workload.AllPlatforms() {
-		results, err := b.fleet.PlantedSweep(plat)
+		results, err := b.fleet.PlantedSweep(plat, "lightzone")
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -9,6 +12,38 @@ import (
 	"lightzone/internal/replay"
 	"lightzone/internal/workload"
 )
+
+// TestMain runs the command itself when the test binary is re-executed
+// with lzbenchMainEnv set, so tests can check exit codes and files.
+func TestMain(m *testing.M) {
+	if os.Getenv(lzbenchMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const lzbenchMainEnv = "LZBENCH_TEST_RUN_MAIN"
+
+// runMain runs lzbench with args in a child process and returns its exit
+// code and stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), lzbenchMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatal(err)
+	return 0, ""
+}
 
 func newBench(width int) *bench { return &bench{fleet: workload.NewFleet(width)} }
 
@@ -46,10 +81,11 @@ func TestRecordThenReplay(t *testing.T) {
 	}
 }
 
-// The committed journals predate the config-only format: they still carry
-// an "inputs" section, which reading ignores.
+// The committed journals replay byte-identically. The two oldest predate
+// the config-only format: they still carry an "inputs" section, which
+// reading ignores.
 func TestReplayCommittedJournals(t *testing.T) {
-	for _, name := range []string{"seed_pr6.journal", "serve_pr7.journal"} {
+	for _, name := range []string{"seed_pr6.journal", "serve_pr7.journal", "backends_pr19.journal"} {
 		t.Run(name, func(t *testing.T) {
 			if err := newBench(2).runReplay(filepath.Join("..", "..", "testdata", name)); err != nil {
 				t.Fatal(err)
@@ -77,5 +113,18 @@ func TestReplayRejectsForeignSeed(t *testing.T) {
 	}
 	if len(b.capture) != 0 {
 		t.Error("a foreign-seed journal ran its suites")
+	}
+}
+
+// -serveout writes the serve cells, so without -serve it is refused before
+// any suite runs and no file is written.
+func TestServeOutNeedsServe(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.json")
+	code, stderr := runMain(t, "-table", "4", "-json", "-serveout", path)
+	if code != 1 || !strings.Contains(stderr, "-serve") {
+		t.Errorf("-serveout without -serve: exit %d, stderr %q; want exit 1 naming -serve", code, stderr)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-serveout without -serve wrote %s (stat err %v)", path, err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/replay"
@@ -82,9 +83,21 @@ func doInspect(w io.Writer, path string) error {
 	fmt.Fprintf(w, "%s: valid %s journal (version %d)\n", path, j.Kind, j.Version)
 	switch j.Kind {
 	case replay.KindBench:
-		fmt.Fprintf(w, "  suites:   %v\n", j.Config.Suites)
-		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d invariants=%v\n",
-			j.Config.Iters, j.Config.Seed, j.Config.Parallel, j.Config.Invariants)
+		c := j.Config
+		fmt.Fprintf(w, "  suites:   %v\n", c.Suites)
+		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d invariants=%v",
+			c.Iters, c.Seed, c.Parallel, c.Invariants)
+		if c.Mem {
+			fmt.Fprint(w, " mem=true")
+		}
+		if c.Backend != "" {
+			fmt.Fprintf(w, " backend=%s", c.Backend)
+		}
+		fmt.Fprintln(w)
+		if slices.Contains(c.Suites, "serve") {
+			fmt.Fprintf(w, "  serve:    arrival=%s rps=%g duration_s=%g slo_us=%g\n",
+				c.Arrival, c.RPS, c.DurationS, c.SLOMicros)
+		}
 		fmt.Fprintf(w, "  rows:     %d (sha256 %.16s…)\n", len(j.Rows), j.RowsSHA)
 	case replay.KindChaos:
 		c := j.Chaos

@@ -37,6 +37,47 @@ func TestInspectBenchJournal(t *testing.T) {
 			t.Errorf("inspect output missing %q:\n%s", want, out)
 		}
 	}
+	for _, hidden := range []string{"mem=", "backend=", "serve:"} {
+		if strings.Contains(out, hidden) {
+			t.Errorf("inspect of a table5 journal prints unset %q:\n%s", hidden, out)
+		}
+	}
+
+	// A serve journal shows every serve setting the replay will use.
+	j := &replay.Journal{
+		Version: replay.Version,
+		Kind:    replay.KindBench,
+		Config: replay.RunConfig{Suites: []string{"figure3", "serve"}, Iters: 100, Seed: 42, Parallel: 1, Mem: true,
+			Arrival: "bursty", RPS: 2000, DurationS: 1.5, SLOMicros: 250},
+		Rows: []string{`{"r":1}`},
+	}
+	j.Seal()
+	path = filepath.Join(dir, "serve.json")
+	if err := j.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	if err := doInspect(&sb, path); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	for _, want := range []string{"mem=true", "arrival=bursty", "rps=2000", "duration_s=1.5", "slo_us=250"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("inspect of a serve journal missing %q:\n%s", want, out)
+		}
+	}
+
+	// The committed backend-matrix journal shows its backend scope.
+	sb.Reset()
+	if err := doInspect(&sb, filepath.Join("..", "..", "testdata", "backends_pr19.journal")); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	for _, want := range []string{"[backends]", "iters=500", "backend=all", "72 (sha256"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("inspect of the backends journal missing %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestInspectRejectsCorruptJournal(t *testing.T) {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/hyp"
@@ -64,37 +62,28 @@ func measureLZGuestSyscallOpts(prof *arm64.Profile, hopts hyp.Opts) (float64, er
 	return measureSyscallInEnv(env, true)
 }
 
-// measureSyscallInEnv is measureSyscall against a pre-configured env.
+// measureSyscallInEnv is measureSyscall against a pre-configured env. A
+// LightZone process enters with its backend's lz_enter arguments.
 func measureSyscallInEnv(env *Env, lz bool) (float64, error) {
 	const iters = 64
 	a := arm64.NewAsm()
+	call := svcCall
 	if lz {
-		svcCall(a, core.SysLZEnter, 1, uint64(core.SanTTBR))
-		hvcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			hvcCall(a, kernel.SysGetpid)
-		}
-		hvcCall(a, SysMarkEnd)
-		hvcCall(a, kernel.SysExit, 0)
-	} else {
-		svcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			svcCall(a, kernel.SysGetpid)
-		}
-		svcCall(a, SysMarkEnd)
-		svcCall(a, kernel.SysExit, 0)
+		scalable, pol := backendEnter(env.LZ.BackendName())
+		svcCall(a, core.SysLZEnter, scalable, uint64(pol))
+		call = hvcCall
 	}
-	p, err := env.NewProcess("ablation-probe", a, nil, nil)
+	call(a, SysMarkBegin)
+	for i := 0; i < iters; i++ {
+		call(a, kernel.SysGetpid)
+	}
+	call(a, SysMarkEnd)
+	call(a, kernel.SysExit, 0)
+	p, err := env.NewProcess("syscall-probe", a, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
+	m, err := env.runMeasured(p, 1_000_000)
 	if err != nil {
 		return 0, err
 	}
@@ -134,13 +123,7 @@ func measureFaultStorm(prof *arm64.Profile, copts core.Opts) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
+	m, err := env.runMeasured(p, 1_000_000)
 	if err != nil {
 		return 0, err
 	}

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"lightzone/internal/arm64"
-)
+import "fmt"
 
 // Primitives are the per-operation cycle costs of one platform, measured
 // by running the real emulated machinery (not table lookups): empty
@@ -273,39 +269,7 @@ func measureSyscall(plat Platform, lz bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	const iters = 64
-	a := arm64.NewAsm()
-	if lz {
-		svcCall(a, 460, 1, 1) // lz_enter(true, SanTTBR)
-		hvcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			hvcCall(a, 172) // getpid
-		}
-		hvcCall(a, SysMarkEnd)
-		hvcCall(a, 93, 0)
-	} else {
-		svcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			svcCall(a, 172)
-		}
-		svcCall(a, SysMarkEnd)
-		svcCall(a, 93, 0)
-	}
-	p, err := env.NewProcess("syscall-probe", a, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
-	if err != nil {
-		return 0, err
-	}
-	return float64(m) / iters, nil
+	return measureSyscallInEnv(env, lz)
 }
 
 func minInt(a, b int) int {

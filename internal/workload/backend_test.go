@@ -196,11 +196,15 @@ func TestBackendRegistry(t *testing.T) {
 // promise: the granule switch pays a trap round trip and must dominate;
 // the overlay and gate switches stay trap-free.
 func TestBackendSwitchMeasures(t *testing.T) {
+	switchCost := func(plat Platform, backend string) (float64, error) {
+		res, err := RunDomainSwitch(DomainSwitchConfig{
+			Platform: plat, Variant: switchVariant(backend), Domains: 8, Iters: 64, Seed: Table5Seed,
+		})
+		return res.AvgCycles, err
+	}
 	cost := map[string]float64{}
 	for _, b := range BackendOrder() {
-		v, err := RunBackendSwitch(BackendSwitchConfig{
-			Platform: carmelHost(), Backend: b, Domains: 8, Iters: 64, Seed: Table5Seed,
-		})
+		v, err := switchCost(carmelHost(), b)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -217,11 +221,11 @@ func TestBackendSwitchMeasures(t *testing.T) {
 	// that platform contrast is the point of the comparison matrix. On
 	// Cortex-A55 the same write costs single digits and overlay must win.
 	cortex := Platform{Prof: arm64.ProfileCortexA55()}
-	ov, err := RunBackendSwitch(BackendSwitchConfig{Platform: cortex, Backend: "overlay", Domains: 8, Iters: 64, Seed: Table5Seed})
+	ov, err := switchCost(cortex, "overlay")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate, err := RunBackendSwitch(BackendSwitchConfig{Platform: cortex, Backend: "lightzone", Domains: 8, Iters: 64, Seed: Table5Seed})
+	gate, err := switchCost(cortex, "lightzone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,11 @@ func TestBackendProtAndSyscall(t *testing.T) {
 			t.Fatalf("%s prot: %v", b, err)
 		}
 		prot[b] = v
-		s, err := measureBackendSyscall(carmelHost(), b)
+		env, err := NewEnvBackend(carmelHost(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := measureSyscallInEnv(env, true)
 		if err != nil {
 			t.Fatalf("%s syscall: %v", b, err)
 		}
@@ -293,7 +301,7 @@ func TestBackendCrossIsolation(t *testing.T) {
 func TestPlantedSweepBackends(t *testing.T) {
 	f := NewFleet(0)
 	for _, b := range core.Backends() {
-		res, err := f.PlantedSweepBackend(carmelHost(), b)
+		res, err := f.PlantedSweep(carmelHost(), b)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}

@@ -142,13 +142,7 @@ func RunEmulatedTxnWorker(cfg EmulatedTxnConfig) (float64, error) {
 		return 0, err
 	}
 	budget := int64(cfg.Txns)*int64(cfg.Syscalls+cfg.GatePairs+6)*4 + 1_000_000
-	if err := env.Run(p, budget); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("worker killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
+	m, err := env.runMeasured(p, budget)
 	if err != nil {
 		return 0, err
 	}

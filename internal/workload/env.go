@@ -31,9 +31,25 @@ const (
 	VariantLwC        Variant = "lwc"
 )
 
+// The alternate isolation backends as Table 5 variants: the backend
+// comparison matrix measures their switch on the same harness. They are
+// not figure curves, so Variants does not list them.
+const (
+	VariantOverlay Variant = "overlay"
+	VariantGranule Variant = "granule"
+)
+
 // Variants lists all evaluated variants in the paper's presentation order.
 func Variants() []Variant {
 	return []Variant{VariantNone, VariantLZPAN, VariantLZTTBR, VariantWatchpoint, VariantLwC}
+}
+
+// backend names the isolation backend a variant's machine boots with.
+func (v Variant) backend() string {
+	if v == VariantOverlay || v == VariantGranule {
+		return string(v)
+	}
+	return "lightzone"
 }
 
 // Platform selects a cost profile and host/guest placement — the four
@@ -196,6 +212,18 @@ func (e *Env) Run(p *kernel.Process, maxTraps int64) error {
 		return e.M.RunGuestProcess(e.VM, p, maxTraps)
 	}
 	return e.M.RunHostProcess(p, maxTraps)
+}
+
+// runMeasured runs a process to completion and returns the cycles between
+// its markers. A killed process is an error that names it.
+func (e *Env) runMeasured(p *kernel.Process, maxTraps int64) (int64, error) {
+	if err := e.Run(p, maxTraps); err != nil {
+		return 0, err
+	}
+	if p.Killed {
+		return 0, fmt.Errorf("%s killed: %s", p.Name, p.KillMsg)
+	}
+	return e.Measured()
 }
 
 // Measured returns the cycles between the program's begin/end markers. A

@@ -35,12 +35,13 @@ type plantedAttack struct {
 	build   func(plat Platform) (env *Env, va uint64, absent uint64, err error)
 }
 
-// plantedCleanTTBR runs a small scalable-TTBR benchmark to completion and
-// hands back the machine with its LightZone process state intact. The
-// process has exited cleanly: everything done to the machine afterwards is
-// invisible to the dynamic enforcement paths by construction.
-func plantedCleanTTBR(plat Platform) (*Env, *core.LZProc, error) {
-	cfg := DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 8, Iters: 64, Seed: Table5Seed}
+// plantedCleanBackend runs a small Table 5 switch benchmark under a backend
+// (its switchVariant) to completion and hands back the machine with its
+// LightZone process state intact. The process has exited cleanly:
+// everything done to the machine afterwards is invisible to the dynamic
+// enforcement paths by construction.
+func plantedCleanBackend(plat Platform, backend string) (*Env, *core.LZProc, error) {
+	cfg := DomainSwitchConfig{Platform: plat, Variant: switchVariant(backend), Domains: 8, Iters: 64, Seed: Table5Seed}
 	_, env, err := runDomainSwitch(cfg, nil)
 	if err != nil {
 		return nil, nil, err
@@ -216,7 +217,7 @@ func buildSemanticGate(variant string) ([]uint32, uint64, error) {
 // cache-coherence checker stays quiet and the catch is attributable to
 // gate-semantics alone.
 func plantedSemanticGate(plat Platform, variant string) (*Env, uint64, error) {
-	env, lp, err := plantedCleanTTBR(plat)
+	env, lp, err := plantedCleanBackend(plat, "lightzone")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -268,7 +269,7 @@ func plantedAttacks() []plantedAttack {
 			// Redirect gate 0's registered entry point in the GateTab.
 			name: "gatetab-tamper", checker: "gate-integrity",
 			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
+				env, lp, err := plantedCleanBackend(plat, "lightzone")
 				if err != nil {
 					return nil, 0, 0, err
 				}
@@ -288,7 +289,7 @@ func plantedAttacks() []plantedAttack {
 			// Overwrite the first instruction of gate 0's code slot.
 			name: "gate-code-tamper", checker: "gate-integrity",
 			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
+				env, lp, err := plantedCleanBackend(plat, "lightzone")
 				if err != nil {
 					return nil, 0, 0, err
 				}
@@ -314,12 +315,4 @@ func plantedAttacks() []plantedAttack {
 		attackSemanticGate("gate-ttbr-unproven", "ttbr-unproven"),
 		attackSemanticGate("gate-exit-redirect", "exit-redirect"),
 	}
-}
-
-// PlantedSweep runs the planted-attack battery, one fleet cell per attack.
-// Each cell must be caught by its designated checker at the exact planted
-// VA, and the literal-pool control word must never be flagged. Missing
-// either is an error, not a result row.
-func (f *Fleet) PlantedSweep(plat Platform) ([]PlantedResult, error) {
-	return f.plantedSweep(plat, plantedAttacks())
 }

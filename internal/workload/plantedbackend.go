@@ -19,26 +19,6 @@ import (
 // has gate tampering, granule-delegation violations where lightzone has
 // TTBRTab tampering.
 
-// plantedCleanBackend runs a small clean benchmark under a backend and
-// hands back the machine with its process state intact (the backend
-// analogue of plantedCleanTTBR, which it delegates to for lightzone).
-func plantedCleanBackend(plat Platform, backend string) (*Env, *core.LZProc, error) {
-	if backend == "lightzone" {
-		return plantedCleanTTBR(plat)
-	}
-	_, env, err := runBackendSwitch(BackendSwitchConfig{
-		Platform: plat, Backend: backend, Domains: 8, Iters: 64, Seed: Table5Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	procs := env.LZ.Procs()
-	if len(procs) == 0 {
-		return nil, nil, fmt.Errorf("no LightZone process survived the run")
-	}
-	return env, procs[0], nil
-}
-
 // Substrate-invariant attacks, parameterized by the backend whose clean
 // machine they are planted on.
 
@@ -351,22 +331,17 @@ func plantedAttacksFor(backend string) ([]plantedAttack, error) {
 	return nil, fmt.Errorf("no planted battery for backend %q", backend)
 }
 
-// PlantedSweepBackend runs a backend's planted battery, one fleet cell per
-// attack, with the same must-catch discipline as PlantedSweep (which is the
-// lightzone instance of this sweep).
-func (f *Fleet) PlantedSweepBackend(plat Platform, backend string) ([]PlantedResult, error) {
+// PlantedSweep runs a backend's planted-attack battery, one fleet cell per
+// attack. Each cell must be caught by its designated checker at the exact
+// planted VA, and the literal-pool control word must never be flagged.
+// Missing either is an error, not a result row.
+func (f *Fleet) PlantedSweep(plat Platform, backend string) ([]PlantedResult, error) {
 	attacks, err := plantedAttacksFor(backend)
 	if err != nil {
 		return nil, err
 	}
-	return f.plantedSweep(plat, attacks)
-}
-
-// plantedSweep runs one battery; every attack must be caught by its
-// designated checker at the planted VA and the control word never flagged.
-func (f *Fleet) plantedSweep(plat Platform, attacks []plantedAttack) ([]PlantedResult, error) {
 	out := make([]PlantedResult, len(attacks))
-	err := f.Run(len(attacks), func(i int) error {
+	err = f.Run(len(attacks), func(i int) error {
 		pa := attacks[i]
 		env, va, absent, err := pa.build(plat)
 		if err != nil {

@@ -113,13 +113,7 @@ func MeasureChurnPair(plat Platform, liveZones int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, int64(10*liveZones+20*churnMeasurePairs+10_000)); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("churn probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
+	m, err := env.runMeasured(p, int64(10*liveZones+20*churnMeasurePairs+10_000))
 	if err != nil {
 		return 0, err
 	}

@@ -27,10 +27,14 @@ const (
 	domainRegionStride = uint64(0x1_0000)
 )
 
+// maxSwitchDomains is the largest domain count the switch loop can express:
+// it reads one domain index per byte of the pre-computed sequence.
+const maxSwitchDomains = 256
+
 // DomainSwitchConfig parameterizes the microbenchmark.
 type DomainSwitchConfig struct {
 	Platform Platform
-	Variant  Variant // LZPAN, LZTTBR or Watchpoint
+	Variant  Variant // LZPAN, LZTTBR, Watchpoint, LwC, Overlay or Granule
 	Domains  int
 	Iters    int
 	Seed     int64
@@ -67,13 +71,7 @@ func runDomainSwitch(cfg DomainSwitchConfig, env *Env) (DomainSwitchResult, *Env
 	if err != nil {
 		return res, nil, err
 	}
-	if err := env.Run(p, domainSwitchBudget(cfg)); err != nil {
-		return res, nil, err
-	}
-	if p.Killed {
-		return res, nil, fmt.Errorf("benchmark killed: %s", p.KillMsg)
-	}
-	if res.TotalCycles, err = env.Measured(); err != nil {
+	if res.TotalCycles, err = env.runMeasured(p, domainSwitchBudget(cfg)); err != nil {
 		return res, nil, err
 	}
 	res.AvgCycles = float64(res.TotalCycles) / float64(cfg.Iters)
@@ -113,6 +111,12 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 	if cfg.Domains <= 0 || cfg.Iters <= 0 {
 		return nil, nil, fmt.Errorf("bad config %+v", cfg)
 	}
+	if cfg.Domains > maxSwitchDomains {
+		return nil, nil, fmt.Errorf("%d domains: the switch loop stores one domain index per byte, so at most %d are supported", cfg.Domains, maxSwitchDomains)
+	}
+	if cfg.Variant == VariantOverlay && cfg.Domains > mem.OverlayKeyMax {
+		return nil, nil, fmt.Errorf("%d overlay domains: keys run from 1 to %d", cfg.Domains, mem.OverlayKeyMax)
+	}
 	if cfg.Variant == VariantWatchpoint && cfg.Domains > baseline.MaxWatchpointDomains {
 		return nil, nil, baseline.ErrTooManyDomains
 	}
@@ -121,7 +125,7 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 	}
 	if env == nil {
 		var err error
-		env, err = NewEnv(cfg.Platform)
+		env, err = NewEnvBackend(cfg.Platform, cfg.Variant.backend())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -153,6 +157,10 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 		buildWatchpointSwitchProgram(a, cfg)
 	case VariantLwC:
 		buildLwCSwitchProgram(a, cfg)
+	case VariantOverlay:
+		buildOverlaySwitchProgram(a, cfg)
+	case VariantGranule:
+		buildGranuleSwitchProgram(a, cfg)
 	default:
 		return nil, nil, fmt.Errorf("variant %q has no domain-switch mechanism", cfg.Variant)
 	}
@@ -174,13 +182,9 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 // the call gate's scratch registers (x16-x20, x30): x10 sequence pointer,
 // x11 remaining iterations, x12 current domain, x13/x14 scratch.
 func emitSwitchLoop(a *arm64.Asm, cfg DomainSwitchConfig, hvc bool, perIter func()) {
-	mark := func(num uint64) {
-		a.MovImm(8, num)
-		if hvc {
-			a.Emit(arm64.HVC(core.HVCSyscall))
-		} else {
-			a.Emit(arm64.SVC(0))
-		}
+	call := svcCall
+	if hvc {
+		call = hvcCall
 	}
 	// Warm the sequence pages and domain pages deterministically before
 	// measurement (the paper measures steady state after warm-up).
@@ -196,7 +200,7 @@ func emitSwitchLoop(a *arm64.Asm, cfg DomainSwitchConfig, hvc bool, perIter func
 	// Loop-invariant bases live in x5 (domain region) and x6 (set by the
 	// variant body builder when needed).
 	a.MovImm(5, domainRegionBase)
-	mark(SysMarkBegin)
+	call(a, SysMarkBegin)
 	a.MovImm(10, uint64(kernel.DataBase))
 	a.MovImm(11, uint64(cfg.Iters))
 	a.Label("loop")
@@ -205,16 +209,8 @@ func emitSwitchLoop(a *arm64.Asm, cfg DomainSwitchConfig, hvc bool, perIter func
 	perIter()
 	a.Emit(arm64.SUBSImm(11, 11, 1))
 	a.BCond(arm64.CondNE, "loop")
-	mark(SysMarkEnd)
-	if hvc {
-		a.MovImm(0, 0)
-		a.MovImm(8, kernel.SysExit)
-		a.Emit(arm64.HVC(core.HVCSyscall))
-	} else {
-		a.MovImm(0, 0)
-		a.MovImm(8, kernel.SysExit)
-		a.Emit(arm64.SVC(0))
-	}
+	call(a, SysMarkEnd)
+	call(a, kernel.SysExit, 0)
 }
 
 // emitDomainAccess emits the 8-byte access to the current domain:

@@ -5,6 +5,7 @@ import (
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/baseline"
+	"lightzone/internal/mem"
 )
 
 // paperTable5 holds the published Table 5 cells: average cycles of
@@ -102,5 +103,38 @@ func TestWatchpointSixteenDomainWall(t *testing.T) {
 	}
 	if _, err := RunDomainSwitch(DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 128, Iters: 100, Seed: 1}); err != nil {
 		t.Errorf("128 LightZone domains rejected: %v", err)
+	}
+}
+
+// The switch loop reads one domain index per byte and overlay keys stop at
+// mem.OverlayKeyMax, so larger domain counts would measure a different
+// benchmark than the one asked for. They must be refused, on every variant.
+func TestDomainSwitchDomainBound(t *testing.T) {
+	plat := Platform{cortex(), false}
+	cases := []struct {
+		variant Variant
+		domains int
+		ok      bool
+	}{
+		{VariantLZTTBR, 256, true},
+		{VariantLZTTBR, 257, false},
+		{VariantLZTTBR, 300, false},
+		{VariantLZPAN, 257, false},
+		{VariantLwC, 257, false},
+		{VariantGranule, 256, true},
+		{VariantGranule, 257, false},
+		{VariantOverlay, mem.OverlayKeyMax, true},
+		{VariantOverlay, 256, false},
+		{VariantOverlay, 300, false},
+	}
+	for _, c := range cases {
+		cfg := DomainSwitchConfig{Platform: plat, Variant: c.variant, Domains: c.domains, Iters: 10, Seed: 1}
+		_, _, err := prepareDomainSwitch(cfg, nil)
+		if c.ok && err != nil {
+			t.Errorf("%s with %d domains refused: %v", c.variant, c.domains, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s with %d domains accepted", c.variant, c.domains)
+		}
 	}
 }

@@ -140,11 +140,11 @@ func TestInvariantMemoMatchesFresh(t *testing.T) {
 				domainSwitchBudget(cfg)})
 		}
 	}
-	for _, backend := range []string{"overlay", "granule"} {
-		cfg := BackendSwitchConfig{Platform: AllPlatforms()[0], Backend: backend, Domains: 8, Iters: 200, Seed: Table5Seed}
-		cells = append(cells, cell{backend + "-8",
-			func() (*Env, *kernel.Process, error) { return prepareBackendSwitch(cfg) },
-			domainSwitchBudget(DomainSwitchConfig{Iters: cfg.Iters})})
+	for _, v := range []Variant{VariantOverlay, VariantGranule} {
+		cfg := DomainSwitchConfig{Platform: AllPlatforms()[0], Variant: v, Domains: 8, Iters: 200, Seed: Table5Seed}
+		cells = append(cells, cell{string(v) + "-8",
+			func() (*Env, *kernel.Process, error) { return prepareDomainSwitch(cfg, nil) },
+			domainSwitchBudget(cfg)})
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -204,7 +204,7 @@ func TestInvariantMemoMatchesFresh(t *testing.T) {
 // inside the sweep. The test re-checks the result rows and that all five
 // checkers are exercised by the battery.
 func TestPlantedSweep(t *testing.T) {
-	results, err := NewFleet(0).PlantedSweep(verifyTestPlatform(t))
+	results, err := NewFleet(0).PlantedSweep(verifyTestPlatform(t), "lightzone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestInvariantMonitorTraceAndNeutrality(t *testing.T) {
 // The verification report must round-trip through JSON with its identifying
 // fields intact — the schema lzverify -json and lzinspect -invariants emit.
 func TestVerifyReportJSON(t *testing.T) {
-	env, _, err := plantedCleanTTBR(verifyTestPlatform(t))
+	env, _, err := plantedCleanBackend(verifyTestPlatform(t), "lightzone")
 	if err != nil {
 		t.Fatal(err)
 	}
