@@ -115,7 +115,7 @@ func main() {
 		pprof.StopCPUProfile()
 	}
 	if err == nil && *serveOut != "" {
-		err = writeServeOut(*serveOut, b.serveCells)
+		err = b.writeServeOut(*serveOut)
 	}
 	if err == nil && *memProf != "" {
 		err = writeMemProfile(*memProf)
@@ -159,6 +159,7 @@ type bench struct {
 	// capture, when non-nil, accumulates every emitted JSON row for the
 	// journal (-record) or the byte-identity comparison (-replay).
 	capture    []string
+	suites     []string     // the suites the last run executed
 	serveCells []serve.Cell // every serve cell run, for -serveout
 }
 
@@ -351,6 +352,7 @@ func (b *bench) run(cfg replay.RunConfig) error {
 		flag.Usage()
 		return nil
 	}
+	b.suites = cfg.Suites
 	for _, name := range cfg.Suites {
 		var err error
 		switch name {
@@ -757,9 +759,17 @@ func (b *bench) printServe(cfg serve.Config) error {
 
 // writeServeOut writes the collected serve cells (calibration, churn
 // pressure, every operating-point row) as indented JSON — the committed
-// BENCH_PR7.json trajectory is one such file.
-func writeServeOut(path string, cells []serve.Cell) error {
-	data, err := json.MarshalIndent(cells, "", "  ")
+// BENCH_PR7.json trajectory is one such file. A run that collected no cell
+// (a replayed journal without the serve suite) writes nothing and fails.
+func (b *bench) writeServeOut(path string) error {
+	if len(b.serveCells) == 0 {
+		suites := "none"
+		if len(b.suites) > 0 {
+			suites = strings.Join(b.suites, ", ")
+		}
+		return fmt.Errorf("-serveout: no serve suite ran (suites: %s), so there are no serve cells to write", suites)
+	}
+	data, err := json.MarshalIndent(b.serveCells, "", "  ")
 	if err != nil {
 		return err
 	}

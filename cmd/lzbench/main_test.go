@@ -128,3 +128,21 @@ func TestServeOutNeedsServe(t *testing.T) {
 		t.Errorf("-serveout without -serve wrote %s (stat err %v)", path, err)
 	}
 }
+
+// A replay runs the journal's suites, not the flags', so -serve -replay J
+// with a journal J that has no serve suite collects no serve cell:
+// -serveout then fails, names the suites that ran and writes no file.
+func TestServeOutNeedsServeCells(t *testing.T) {
+	dir := t.TempDir()
+	journal, out := filepath.Join(dir, "table4.journal"), filepath.Join(dir, "serve.json")
+	if code, stderr := runMain(t, "-table", "4", "-json", "-record", journal); code != 0 {
+		t.Fatalf("recording table4: exit %d, stderr %q", code, stderr)
+	}
+	code, stderr := runMain(t, "-serve", "-replay", journal, "-serveout", out)
+	if code != 1 || !strings.Contains(stderr, "table4") {
+		t.Errorf("-serveout after a replay without serve: exit %d, stderr %q; want exit 1 naming the suite table4", code, stderr)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-serveout after a replay without serve wrote %s (stat err %v)", out, err)
+	}
+}

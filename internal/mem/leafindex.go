@@ -110,7 +110,7 @@ func (ix *LeafIndex) Check() error {
 			continue
 		}
 		var missing error
-		if _, err := tables(t.pm, t.root, t.start, 0, func(f *[PageSize]byte, base uint64) bool {
+		if _, err := tables(t.pm, t.root, t.start, 0, nil, func(f *[PageSize]byte, base uint64) bool {
 			if leaf := ix.regions[base>>HugePageShift]; slot >= len(leaf) || leaf[slot] != f {
 				missing = fmt.Errorf("slot %d: leaf table for region %#x is not registered", slot, base)
 			}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,89 @@ func TestStage1Visit(t *testing.T) {
 		if got[va] != size {
 			t.Errorf("leaf %v size = %d, want %d", va, got[va], size)
 		}
+	}
+}
+
+// VisitRecord reads every table frame of the tree exactly once, root
+// first, and visits the same leaves as Visit.
+func TestStage1VisitRecordFrames(t *testing.T) {
+	pm := NewPhysMem(64 << 20)
+	s1, _ := NewStage1(pm, 1)
+	for _, va := range []VA{0x1000, 0x2000, 0x40000000, TTBR1Base + 0x1000} {
+		if err := s1.Map(va, PA(uint64(va)&0xFFFFFFF), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.MapBlock(VA(HugePageSize), PA(HugePageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	type leaf struct {
+		va         VA
+		desc, size uint64
+	}
+	var want, got []leaf
+	if err := s1.Visit(func(va VA, desc, size uint64) bool {
+		want = append(want, leaf{va, desc, size})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var frames []PA
+	seen := map[PA]bool{}
+	if err := s1.VisitRecord(func(pa PA) {
+		if seen[pa] {
+			t.Errorf("table frame %v read twice", pa)
+		}
+		seen[pa] = true
+		frames = append(frames, pa)
+	}, func(va VA, desc, size uint64) bool {
+		got = append(got, leaf{va, desc, size})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("VisitRecord leaves %v, Visit leaves %v", got, want)
+	}
+	if len(frames) == 0 || frames[0] != s1.Root() {
+		t.Fatalf("recorded frames %v do not start at the root %v", frames, s1.Root())
+	}
+	if uint64(len(frames))*PageSize != s1.TableBytes() {
+		t.Errorf("recorded %d table frames, the table has %d", len(frames), s1.TableBytes()/PageSize)
+	}
+}
+
+// Equal compares physical memory across frame boundaries without
+// materialising anything: an untouched frame compares as zero and stays
+// untouched, and a range past the end of memory is never equal.
+func TestPhysMemEqual(t *testing.T) {
+	pm := NewPhysMem(64 << 20)
+	data := []byte("spans two frames")
+	base := PA(2*PageSize - 5)
+	if err := pm.Write(base, data); err != nil {
+		t.Fatal(err)
+	}
+	if !pm.Equal(base, data) {
+		t.Error("written bytes compare unequal")
+	}
+	if pm.Equal(base, []byte("spans two framez")) {
+		t.Error("a changed byte in the second frame compares equal")
+	}
+	frames := 0
+	pm.VisitFrames(func(PA, *[PageSize]byte) { frames++ })
+	if !pm.Equal(8*PageSize, make([]byte, 2*PageSize)) {
+		t.Error("untouched frames do not compare as zero")
+	}
+	if pm.Equal(8*PageSize, []byte{1}) {
+		t.Error("an untouched frame compares equal to a non-zero byte")
+	}
+	after := 0
+	pm.VisitFrames(func(PA, *[PageSize]byte) { after++ })
+	if after != frames {
+		t.Errorf("Equal materialised %d frames", after-frames)
+	}
+	if pm.Equal(PA(pm.Size()-4), make([]byte, 8)) {
+		t.Error("a range past the end of memory compares equal")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -183,6 +184,36 @@ func (m *PhysMem) Read(pa PA, buf []byte) error {
 	}
 	return nil
 }
+
+// Equal reports whether the len(want) bytes starting at pa equal want.
+// Observation only, like VisitFrames: an untouched frame compares as zero
+// and stays untouched. A range past the end of memory is never equal.
+func (m *PhysMem) Equal(pa PA, want []byte) bool {
+	for len(want) > 0 {
+		idx := uint64(pa) >> PageShift
+		if idx >= m.numFrames {
+			return false
+		}
+		off := uint64(pa) & PageMask
+		n := min(uint64(len(want)), PageSize-off)
+		var f *[PageSize]byte
+		if ch := m.chunkAt(idx >> frameChunkShift); ch != nil {
+			f = ch[idx&(1<<frameChunkShift-1)]
+		}
+		if f == nil {
+			f = &zeroFrame
+		}
+		if !bytes.Equal(f[off:off+n], want[:n]) {
+			return false
+		}
+		want = want[n:]
+		pa += PA(n)
+	}
+	return true
+}
+
+// zeroFrame is what an untouched frame reads as.
+var zeroFrame [PageSize]byte
 
 // Write copies buf into physical memory starting at pa.
 func (m *PhysMem) Write(pa PA, buf []byte) error {

@@ -95,7 +95,17 @@ func (t *Stage1) UpdateLeaf(va VA, fn func(uint64) uint64) (bool, error) {
 // lz_enter (§5.1.2); the verifiers use it to snapshot tables. Visiting
 // stops when fn returns false.
 func (t *Stage1) Visit(fn func(va VA, desc uint64, size uint64) bool) error {
-	return t.visit(func(addr, desc, size uint64) bool { return fn(VA(addr), desc, size) })
+	return t.visit(nil, func(addr, desc, size uint64) bool { return fn(VA(addr), desc, size) })
+}
+
+// VisitRecord is Visit that also calls frame with the physical address of
+// every table frame the walk reads, root first, in the order it reads
+// them. The walk's leaves are a function of those frames' contents alone:
+// while every recorded frame holds the same bytes, a new walk reads the
+// same frames and visits the same leaves (the verifier's capture cache
+// rests on this).
+func (t *Stage1) VisitRecord(frame func(PA), fn func(va VA, desc uint64, size uint64) bool) error {
+	return t.visit(frame, func(addr, desc, size uint64) bool { return fn(VA(addr), desc, size) })
 }
 
 // CopyLeaves copies into t every leaf mapping of src (4KB pages and 2MB

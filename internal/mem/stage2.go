@@ -83,5 +83,5 @@ func (t *Stage2) UpdateLeaf(ipa IPA, fn func(uint64) uint64) (bool, error) {
 // it to audit the stage-2 protections the Lowvisor installed over guest
 // frames.
 func (t *Stage2) Visit(fn func(ipa IPA, desc uint64, size uint64) bool) error {
-	return t.visit(func(addr, desc, size uint64) bool { return fn(IPA(addr), desc, size) })
+	return t.visit(nil, func(addr, desc, size uint64) bool { return fn(IPA(addr), desc, size) })
 }

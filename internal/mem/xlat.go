@@ -247,13 +247,18 @@ func (t *xlat) update(addr uint64, fn func(uint64) uint64) (bool, error) {
 
 // tables walks the tree under table in ascending address order, handing
 // each level-3 table (its frame and base address) to leafTable and each
-// 2MB block to block, with upper-half addresses in canonical form. It
-// reports whether the walk should go on: a false from either callback
-// stops the enclosing tables' loops too, not just this one's.
-func tables(pm *PhysMem, table PA, level int, base uint64, leafTable func(*[PageSize]byte, uint64) bool, block func(addr, desc uint64) bool) (bool, error) {
+// 2MB block to block, with upper-half addresses in canonical form. frame,
+// when set, sees the address of every table frame the walk reads, in the
+// order it reads them. It reports whether the walk should go on: a false
+// from either callback stops the enclosing tables' loops too, not just
+// this one's.
+func tables(pm *PhysMem, table PA, level int, base uint64, frame func(PA), leafTable func(*[PageSize]byte, uint64) bool, block func(addr, desc uint64) bool) (bool, error) {
 	f, err := pm.frame(table)
 	if err != nil {
 		return false, err
+	}
+	if frame != nil {
+		frame(table)
 	}
 	if level == 3 {
 		return leafTable(f, base), nil
@@ -267,7 +272,7 @@ func tables(pm *PhysMem, table PA, level int, base uint64, leafTable func(*[Page
 		more := true
 		switch ClassifyDesc(desc, level) {
 		case DescKindTable:
-			if more, err = tables(pm, PA(desc&OAMask), level+1, canonical(base+idx*span), leafTable, block); err != nil {
+			if more, err = tables(pm, PA(desc&OAMask), level+1, canonical(base+idx*span), frame, leafTable, block); err != nil {
 				return false, err
 			}
 		case DescKindBlock:
@@ -291,9 +296,10 @@ func canonical(va uint64) uint64 {
 }
 
 // visit calls fn(addr, desc, size) for every valid leaf in ascending
-// address order, until fn returns false.
-func (t *xlat) visit(fn func(addr, desc, size uint64) bool) error {
-	_, err := tables(t.pm, t.root, t.start, 0, func(f *[PageSize]byte, base uint64) bool {
+// address order, until fn returns false. frame, when set, sees every table
+// frame the walk reads (see tables).
+func (t *xlat) visit(frame func(PA), fn func(addr, desc, size uint64) bool) error {
+	_, err := tables(t.pm, t.root, t.start, 0, frame, func(f *[PageSize]byte, base uint64) bool {
 		for idx := uint64(0); idx < 512; idx++ {
 			if desc := readDesc(f, idx); desc&DescValid != 0 && !fn(base+idx*PageSize, desc, PageSize) {
 				return false
@@ -321,7 +327,7 @@ func (t *xlat) copyLeaves(src *xlat, skip uint64, hook func(PA) error) (int, err
 	t.lastLeafTable = 0
 	n := 0
 	var err error
-	_, walkErr := tables(src.pm, src.root, src.start, 0, func(f *[PageSize]byte, base uint64) bool {
+	_, walkErr := tables(src.pm, src.root, src.start, 0, nil, func(f *[PageSize]byte, base uint64) bool {
 		var m int
 		m, err = t.copyLeafTable(f, base, skip, hook)
 		n += m

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/core"
@@ -421,11 +423,16 @@ func checkCFG(s *Snapshot) []Finding {
 
 // cfgFlags returns one domain's flagged reachable words in ascending address
 // order as finding templates (Checker, PID, Proc and Domain are stamped by
-// the caller, after the per-process dedup). The result is memoised per
-// domain content: the policy, the backend, every executable mapping's VA,
-// size and bytes, and the entry list. A domain with an unreadable
-// executable page (already reported by the sweep, skipped here) is never
-// cached.
+// the caller, after the per-process dedup). Reachability from several
+// entries is the union of reachability from each, so the flags are
+// memoised per entry point of a domain content — the policy, the backend
+// and every executable mapping's VA, size and bytes — and a domain's flags
+// are the union over its entries, sorted by address (a word reached from
+// two entries gives the same finding twice, since it depends only on the
+// word, the policy and the backend; checkCFG's per-process dedup keeps
+// one). A new domain whose text and entries are already known costs no
+// CFG build. A domain with an unreadable executable page (already reported
+// by the sweep, skipped here) is never cached.
 func (mo *Memo) cfgFlags(s *Snapshot, p *ProcSnap, d *DomainSnap, pol core.SanPolicy) []Finding {
 	entries := []uint64{uint64(kernel.TextBase)}
 	for _, g := range p.Gates {
@@ -450,19 +457,37 @@ func (mo *Memo) cfgFlags(s *Snapshot, p *ProcSnap, d *DomainSnap, pol core.SanPo
 		hashU64(h, m.Size)
 		hashU64(h, fs.sum)
 	}
-	hashU64(h, ^uint64(0)) // no mapping has this VA: ends the mapping list
-	hashU64(h, uint64(len(entries)))
-	for _, e := range entries {
-		hashU64(h, e)
-	}
-	key := h.Sum64()
-	if cacheable {
-		if flags, ok := mo.cfg.get(key); ok {
-			return flags
-		}
-	}
+	content := h.Sum64()
 
-	mo.cfgBuilds++
+	var segs []arm64.CFGSegment
+	built := false
+	var flags []Finding
+	for _, e := range entries {
+		k := cfgKey{content, e}
+		var reached []Finding
+		ok := false
+		if cacheable {
+			reached, ok = mo.cfg.get(k)
+		}
+		if !ok {
+			if !built {
+				segs, built = mo.cfgSegments(s, d), true
+			}
+			reached = reachableFlags(segs, e, p.Backend, pol)
+			mo.cfgBuilds++
+			if cacheable {
+				mo.cfg.put(k, reached)
+			}
+		}
+		flags = append(flags, reached...)
+	}
+	slices.SortStableFunc(flags, func(a, b Finding) int { return cmp.Compare(a.VA, b.VA) })
+	return flags
+}
+
+// cfgSegments returns a domain's readable application-executable mappings
+// as CFG segments.
+func (mo *Memo) cfgSegments(s *Snapshot, d *DomainSnap) []arm64.CFGSegment {
 	var segs []arm64.CFGSegment
 	for _, m := range d.Maps {
 		if !appExec(m) {
@@ -474,35 +499,39 @@ func (mo *Memo) cfgFlags(s *Snapshot, p *ProcSnap, d *DomainSnap, pol core.SanPo
 		}
 		segs = append(segs, arm64.CFGSegment{Base: uint64(m.VA), Words: arm64.BytesToWords(data)})
 	}
+	return segs
+}
+
+// reachableFlags returns the flagged words reachable from entry over segs,
+// in ascending address order.
+func reachableFlags(segs []arm64.CFGSegment, entry uint64, backend string, pol core.SanPolicy) []Finding {
+	if len(segs) == 0 {
+		return nil
+	}
 	var flags []Finding
-	if len(segs) > 0 {
-		arm64.BuildCFG(segs, entries).VisitReachable(func(addr uint64, word uint32, in arm64.Insn) bool {
-			detail := ""
-			switch {
-			case core.CheckWord(word, pol) != "":
-				detail = fmt.Sprintf("reachable sensitive instruction: %s", core.CheckWord(word, pol))
-			case in.Op == arm64.OpHVC && in.Imm != core.HVCSyscall &&
-				!(p.Backend == "granule" && in.Imm == core.HVCGranuleEnter):
-				// The realm-enter call is part of the granule backend's
-				// API surface; under every other backend it is as foreign
-				// as any unknown hypercall.
-				detail = fmt.Sprintf("reachable HVC #%#x is not the syscall API", in.Imm)
-			case in.Op == arm64.OpUnknown && word != 0:
-				// Zero words are text padding reached by fall-through past
-				// the last instruction; they are architecturally undefined
-				// and fault closed, so only non-zero undecodable words are
-				// suspicious.
-				detail = "reachable undecodable word"
-			default:
-				return true
-			}
-			flags = append(flags, Finding{VA: addr, Word: word, Disasm: arm64.Disassemble(word), Detail: detail})
+	arm64.BuildCFG(segs, []uint64{entry}).VisitReachable(func(addr uint64, word uint32, in arm64.Insn) bool {
+		detail := ""
+		switch {
+		case core.CheckWord(word, pol) != "":
+			detail = fmt.Sprintf("reachable sensitive instruction: %s", core.CheckWord(word, pol))
+		case in.Op == arm64.OpHVC && in.Imm != core.HVCSyscall &&
+			!(backend == "granule" && in.Imm == core.HVCGranuleEnter):
+			// The realm-enter call is part of the granule backend's
+			// API surface; under every other backend it is as foreign
+			// as any unknown hypercall.
+			detail = fmt.Sprintf("reachable HVC #%#x is not the syscall API", in.Imm)
+		case in.Op == arm64.OpUnknown && word != 0:
+			// Zero words are text padding reached by fall-through past
+			// the last instruction; they are architecturally undefined
+			// and fault closed, so only non-zero undecodable words are
+			// suspicious.
+			detail = "reachable undecodable word"
+		default:
 			return true
-		})
-	}
-	if cacheable {
-		mo.cfg.put(key, flags)
-	}
+		}
+		flags = append(flags, Finding{VA: addr, Word: word, Disasm: arm64.Disassemble(word), Detail: detail})
+		return true
+	})
 	return flags
 }
 

@@ -3,6 +3,7 @@ package verify
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"slices"
 
 	"lightzone/internal/core"
 	"lightzone/internal/mem"
@@ -12,12 +13,18 @@ import (
 // chokepoint observer (-invariants mode) re-runs the whole registry after
 // every security-state mutation, but a mutation touches one domain, one
 // page or one TTBRTab slot; the memo lets the expensive checkers re-prove
-// only what changed. It holds three content-addressed caches:
+// only what changed. It holds four caches:
 //
-//   - cfg-reachability: one entry per domain, keyed by the policy, the
-//     backend, every executable mapping's VA, size and bytes, and the
-//     domain's entry list; the value is the domain's flagged reachable
-//     words, before the per-process dedup.
+//   - capture: one entry per stage-1 root (each domain table and the TTBR1
+//     half), holding the table frames the last walk read, a byte copy of
+//     each, and the leaves the walk found. While every recorded frame
+//     still holds the recorded bytes, a new walk would read the same
+//     frames and find the same leaves, so they are reused (see leaves).
+//   - cfg-reachability: one entry per domain content and entry point,
+//     keyed by the policy, the backend, every executable mapping's VA,
+//     size and bytes, and the entry; the value is the flagged words
+//     reachable from that entry. A domain's flags are the union over its
+//     entries (see cfgFlags).
 //   - sanitizer-sweep: one entry per executable mapping, keyed by the
 //     policy and the mapping's bytes; the value is the violations as
 //     offsets into the mapping.
@@ -39,12 +46,13 @@ type Memo struct {
 	// frame is read and hashed once per run however many domains map it.
 	sums map[frameKey]frameSum
 
-	cfg   cache[uint64, []Finding]
+	caps  cache[mem.PA, *captured]
+	cfg   cache[cfgKey, []Finding]
 	san   cache[sanKey, []Finding]
 	gates cache[uint64, *gateProof]
 
 	// Slow-path executions, for tests that pin what a run recomputed.
-	cfgBuilds, sanSweeps, gateProofs int
+	walks, cfgBuilds, sanSweeps, gateProofs int
 }
 
 // NewMemo creates an empty checker memo.
@@ -52,7 +60,8 @@ func NewMemo() *Memo {
 	return &Memo{
 		seed:  maphash.MakeSeed(),
 		sums:  make(map[frameKey]frameSum),
-		cfg:   newCache[uint64, []Finding](),
+		caps:  newCache[mem.PA, *captured](),
+		cfg:   newCache[cfgKey, []Finding](),
 		san:   newCache[sanKey, []Finding](),
 		gates: newCache[uint64, *gateProof](),
 	}
@@ -87,9 +96,14 @@ func (c *cache[K, V]) endRun() {
 	clear(c.cur)
 }
 
+// abort forgets what the current run touched: lookups never remove an
+// entry from prev, so the cache is back to where the run began.
+func (c *cache[K, V]) abort() { clear(c.cur) }
+
 // endRun closes one verification run.
 func (mo *Memo) endRun() {
 	clear(mo.sums)
+	mo.caps.endRun()
 	mo.cfg.endRun()
 	mo.san.endRun()
 	mo.gates.endRun()
@@ -103,6 +117,98 @@ type frameKey struct {
 type frameSum struct {
 	sum uint64
 	err error // the frame is unreadable: nothing keyed on it is cached
+}
+
+// captured is one stage-1 table's last recorded walk: the table frames it
+// read, in walk order, a byte copy of each (frame i at copies[i*PageSize:]),
+// and the leaves it found, with Real and HasReal unresolved. A root seen
+// for the first time gets an empty record: frames are copied from its
+// second capture on, so a one-shot verification copies no table.
+type captured struct {
+	frames []mem.PA
+	copies []byte
+	leaves []Mapping
+}
+
+// unchanged reports whether every recorded frame still holds its copy.
+func (c *captured) unchanged(pm *mem.PhysMem) bool {
+	if c.frames == nil {
+		return false
+	}
+	for i, pa := range c.frames {
+		if !pm.Equal(pa, c.copies[i*mem.PageSize:(i+1)*mem.PageSize]) {
+			return false
+		}
+	}
+	return true
+}
+
+// leaves returns every leaf of s1 in ascending VA order, with Real and
+// HasReal unresolved, in a slice the caller owns. With a memo, a table
+// whose recorded frames are byte-identical to their copies is not walked:
+// the walk's leaves are a function of those frames' contents alone (see
+// mem.Stage1.VisitRecord). Comparing content rather than counting writes
+// is what makes the reuse sound against every writer: a raw PhysMem store,
+// a tamper, or a freed root frame reused by a new table all change bytes
+// the walk read. The fake-to-real resolution is not cached; it depends on
+// the process's FakePhys map, which changes outside the tables.
+func (mo *Memo) leaves(pm *mem.PhysMem, s1 *mem.Stage1) ([]Mapping, error) {
+	if mo == nil {
+		return walkLeaves(s1, nil)
+	}
+	root := s1.Root()
+	c, seen := mo.caps.get(root)
+	if seen && c.unchanged(pm) {
+		return slices.Clone(c.leaves), nil
+	}
+	mo.walks++
+	if !seen {
+		maps, err := walkLeaves(s1, nil)
+		if err == nil {
+			mo.caps.put(root, &captured{})
+		}
+		return maps, err
+	}
+	c.frames = c.frames[:0]
+	maps, err := walkLeaves(s1, func(pa mem.PA) { c.frames = append(c.frames, pa) })
+	if err != nil {
+		c.frames, c.leaves = nil, nil
+		return nil, err
+	}
+	if n := len(c.frames) * mem.PageSize; cap(c.copies) < n {
+		c.copies = make([]byte, n)
+	} else {
+		c.copies = c.copies[:n]
+	}
+	for i, pa := range c.frames {
+		if err := pm.Read(pa, c.copies[i*mem.PageSize:(i+1)*mem.PageSize]); err != nil {
+			c.frames, c.leaves = nil, nil
+			return nil, err
+		}
+	}
+	c.leaves = append(c.leaves[:0], maps...)
+	return maps, nil
+}
+
+// walkLeaves walks s1, handing every table frame it reads to frame (when
+// set).
+func walkLeaves(s1 *mem.Stage1, frame func(mem.PA)) ([]Mapping, error) {
+	var maps []Mapping
+	err := s1.VisitRecord(frame, func(va mem.VA, desc uint64, size uint64) bool {
+		maps = append(maps, Mapping{VA: va, Desc: desc, Size: size})
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return maps, nil
+}
+
+// cfgKey names one entry point's reachability in one domain content (see
+// cfgFlags).
+type cfgKey struct {
+	content uint64
+	entry   uint64
 }
 
 type sanKey struct {

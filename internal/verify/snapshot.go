@@ -107,6 +107,11 @@ func (s *Snapshot) BackendName() string {
 // The capture itself is observation-only: software table walks through
 // PhysMem reads, no TLB probes, no cycle charges.
 func Capture(m *hyp.Machine, lz *core.LightZone) (*Snapshot, error) {
+	return capture(m, lz, nil)
+}
+
+// capture is Capture through mo's capture cache (none when mo is nil).
+func capture(m *hyp.Machine, lz *core.LightZone, mo *Memo) (*Snapshot, error) {
 	s := &Snapshot{M: m, LZ: lz}
 	for _, lp := range lz.Procs() {
 		ps := ProcSnap{
@@ -133,14 +138,14 @@ func Capture(m *hyp.Machine, lz *core.LightZone) (*Snapshot, error) {
 				continue
 			}
 			ds := DomainSnap{ID: d.ID, ASID: d.S1.ASID(), TTBR: d.TTBR(), S1: d.S1}
-			maps, err := collectMaps(d.S1, lp)
+			maps, err := mo.collectMaps(m.PM, d.S1, lp)
 			if err != nil {
 				return nil, fmt.Errorf("pid %d pgt %d: %w", ps.PID, id, err)
 			}
 			ds.Maps = maps
 			ps.Domains = append(ps.Domains, ds)
 		}
-		t1maps, err := collectMaps(lp.TTBR1Table(), lp)
+		t1maps, err := mo.collectMaps(m.PM, lp.TTBR1Table(), lp)
 		if err != nil {
 			return nil, fmt.Errorf("pid %d ttbr1: %w", ps.PID, err)
 		}
@@ -152,20 +157,18 @@ func Capture(m *hyp.Machine, lz *core.LightZone) (*Snapshot, error) {
 
 // collectMaps gathers every leaf of a stage-1 table, resolving each fake
 // output address to its real frame.
-func collectMaps(s1 *mem.Stage1, lp *core.LZProc) ([]Mapping, error) {
-	var maps []Mapping
-	err := s1.Visit(func(va mem.VA, desc uint64, size uint64) bool {
-		m := Mapping{VA: va, Desc: desc, Size: size}
-		fk := mem.IPA(desc & mem.OAMask)
-		if size == mem.HugePageSize {
+func (mo *Memo) collectMaps(pm *mem.PhysMem, s1 *mem.Stage1, lp *core.LZProc) ([]Mapping, error) {
+	maps, err := mo.leaves(pm, s1)
+	if err != nil {
+		return nil, err
+	}
+	for i := range maps {
+		m := &maps[i]
+		fk := mem.IPA(m.Desc & mem.OAMask)
+		if m.Size == mem.HugePageSize {
 			fk &^= mem.IPA(mem.HugePageMask)
 		}
 		m.Real, m.HasReal = lp.Fake().RealOf(fk)
-		maps = append(maps, m)
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	return maps, nil
 }

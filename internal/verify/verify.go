@@ -145,8 +145,11 @@ func RunMachine(m *hyp.Machine, lz *core.LightZone) (Report, error) {
 // RunMachineMemo is RunMachine with a checker memo for repeated
 // verifications of the same machine (the chokepoint observer).
 func RunMachineMemo(m *hyp.Machine, lz *core.LightZone, mo *Memo) (Report, error) {
-	s, err := Capture(m, lz)
+	s, err := capture(m, lz, mo)
 	if err != nil {
+		// No checker ran: drop what the capture put in the memo, so a
+		// failed run leaves it as the last completed run left it.
+		mo.caps.abort()
 		return Report{}, err
 	}
 	return RunMemo(s, mo), nil
